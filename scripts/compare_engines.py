@@ -3,7 +3,7 @@
 
 Enumerates every canonical program up to --max-size nodes over the stock
 {x, y, z} x {pred, suc1, gt0}, decides typability twice (vectorized rule
-search with tiers capped at --cap, and the 2-SAT fast path), and reports
+search with tiers capped at --cap, and the least-tiers solver), and reports
 any disagreement.  Size 12 reproduces the acceptance sweep and takes
 about a minute.
 """

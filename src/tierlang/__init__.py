@@ -4,7 +4,8 @@ Programs assign each variable a tier; the type system only admits data
 flow from higher tiers to lower ones, which bounds every typable run
 polynomially and caps how often oracle queries can grow.  The package
 bundles the parser, a step-counting interpreter, the tier checker and its
-2-SAT inference, runtime analyzers, and an example corpus.
+inference (least tiers by longest paths, with a 2-SAT export), runtime
+analyzers, and an example corpus.
 """
 
 from .analysis import (
@@ -20,6 +21,7 @@ from .inference import (
     InferenceResult,
     encode,
     infer,
+    least_tiers,
     solve_2sat,
     to_dimacs,
     typable,
@@ -110,6 +112,7 @@ __all__ = [
     "count_lookahead_revisions",
     "encode",
     "infer",
+    "least_tiers",
     "noninterference_test",
     "parse",
     "pretty",

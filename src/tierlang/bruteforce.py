@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .operators import Positive, Registry, builtin_registry
+from .operators import DEFAULT_REGISTRY, Positive, Registry
 from .syntax import (
     Assign,
     Cmd,
@@ -102,7 +102,7 @@ def derivable(
     the command at a tier at most `tier`.
     """
     if registry is None:
-        registry = builtin_registry()
+        registry = DEFAULT_REGISTRY
     if _memo is None:
         _memo = {}
     if _expr_memo is None:
@@ -183,7 +183,7 @@ def typable_bounded(
 ) -> bool:
     """Does any environment and triple with tiers <= cap type the program?"""
     if registry is None:
-        registry = builtin_registry()
+        registry = DEFAULT_REGISTRY
     names = variables_of(program)
     body = program.body
     for values in itertools.product(range(cap + 1), repeat=len(names)):
@@ -207,7 +207,7 @@ def typing_table(
     """Every (environment, triple) pair with tiers <= cap that types the
     program.  Environments are rendered as sorted item tuples."""
     if registry is None:
-        registry = builtin_registry()
+        registry = DEFAULT_REGISTRY
     names = variables_of(program)
     body = program.body
     found = set()
@@ -240,7 +240,7 @@ def enumerate_family(
     in stock order are kept, so each renaming class shows up once.
     """
     if registry is None:
-        registry = builtin_registry()
+        registry = DEFAULT_REGISTRY
     specs = [registry.lookup(name) for name in op_names]
     body_max = max_size - 1
 

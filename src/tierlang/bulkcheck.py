@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Positive, Registry, builtin_registry
+from .operators import DEFAULT_REGISTRY, Positive, Registry
 from .syntax import (
     Assign,
     Cmd,
@@ -55,7 +55,7 @@ class BulkTyping:
         self.d = cap + 1
         self.vars = tuple(var_names)
         self.var_axis = {name: i for i, name in enumerate(self.vars)}
-        self.registry = registry if registry is not None else builtin_registry()
+        self.registry = registry if registry is not None else DEFAULT_REGISTRY
         n = len(self.vars)
         self.ndim = n + 3
         # Positional axes after the gamma block: commands use (t, in, out),

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the derivation tree as JSON")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("infer", help="infer tiers by 2-SAT")
+    p = sub.add_parser("infer", help="infer least tiers")
     common(p)
     p.add_argument("--max-tier", type=int, default=None)
     p.add_argument("--emit-cnf", metavar="PATH",

@@ -1,33 +1,44 @@
-"""Tier inference by reduction to 2-SAT.
+"""Tier inference: least tiers by longest paths, with a 2-SAT export.
 
 Tiers live on the ladder 0 < 1 < ... < t_max.  Every syntactic entity that
-carries a tier (variable, command node, operator or oracle expression) gets a
-record of t_max+1 boolean threshold bits; bit i of record r means "the tier
-of r is at most i".  Records are monotone (bit i implies bit i+1) and bit
-t_max is pinned true, so a satisfying assignment denotes exactly one tier per
-record: the least i whose bit is set.
+carries a tier (variable, command node, operator or oracle expression, and
+the two root channels) gets a record, and each typing rule becomes order
+facts between records: a <= b, a == b, a < b, or a pin of one record to an
+exact tier, an upper bound or a lower bound of 1.  `_rules` is the one place
+that turns the typing rules into these facts; it feeds them to a builder.
 
-Order facts between records become binary clauses over threshold bits:
+Each typing rule is a conjunction of such facts except the choice between the
+two while rules.  That choice is global: the rule that seals the outer
+channel to 0 is only available when the whole program types with outer tier
+0, so constraints are generated twice.  Mode "outer zero" pins the root
+outer channel to 0 and lets each top-level loop bound the oracle channel
+with its own tier; the other mode pins the root outer channel above 0 and
+treats top-level loops exactly like nested ones.
+
+Every fact is a difference constraint tier[b] >= tier[a] + w with w in
+{0, 1}, plus lower and upper pins, so the pointwise least typing is a
+longest-path fixpoint (CLRS 24.4).  `least_tiers` records the facts as
+weighted edges, finds the strongly connected components, and rejects the
+program if an edge of weight 1 lies inside one.  Otherwise each record's
+least tier is its longest path from the lower pins, computed over the
+components in topological order, and the typing exists exactly when no
+record then exceeds its upper pin or t_max.  `infer`, `typable` and the
+checker in `tiers` all solve this way.
+
+`encode` feeds the same facts to a builder that expands them into 2-SAT
+over threshold bits, kept as an export and as the cross-check oracle in the
+tests.  Each record gets t_max+1 bits; bit i means "the tier of r is at most
+i".  Records are monotone (bit i implies bit i+1) and bit t_max is pinned
+true, so a model denotes one tier per record, the least i whose bit is set:
 
     a <= b      (-b_i  or a_i)         for every i
     a == b      both directions of <=
     a <  b      (-b_{i+1} or a_i)      for every i < t_max, plus unit -b_0
 
-Each typing rule is a conjunction of such facts except the choice between the
-two while rules.  That choice is global: the rule that seals the outer
-channel to 0 is only available when the whole program types with outer tier
-0, so encoding is attempted twice.  Mode "outer zero" pins the root outer
-channel to 0 and lets each top-level loop bound the oracle channel with its
-own tier; the other mode pins the root outer channel above 0 and treats
-top-level loops exactly like nested ones.  Either attempt is a pure 2-SAT
-instance.
-
-All emitted clauses are implications between bits or unit literals, so
-models are closed under union and a greatest model exists.  Greatest in
-"at most" bits means pointwise least in tiers, which is the assignment
-inference wants to report.  The solver finds it by propagating falsity
-backwards from the negative unit literals; strongly connected components of
-the implication graph decide satisfiability first.
+All these clauses are implications between bits or unit literals, so the
+models are closed under union and a greatest one exists: greatest in "at
+most" bits is least in tiers.  `solve_2sat` finds it, `decode` reads the
+tiers back and `to_dimacs` renders the instance.
 """
 
 from __future__ import annotations
@@ -35,11 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-
-from .operators import Positive, Registry, builtin_registry
+from .operators import DEFAULT_REGISTRY, Positive, Registry
 from .syntax import (
     Assign,
     If,
@@ -102,7 +109,13 @@ class Encoding:
         return record * (self.t_max + 1) + i + 1
 
 
+def _path_name(path: Path) -> str:
+    return "/".join(str(tag) for tag in path) if path else "root"
+
+
 class _Builder:
+    """Sink for order facts that expands each into threshold clauses."""
+
     def __init__(self, t_max: int) -> None:
         self.t_max = t_max
         self.names: list[str] = []
@@ -111,9 +124,9 @@ class _Builder:
     def bit(self, record: int, i: int) -> int:
         return record * (self.t_max + 1) + i + 1
 
-    def new_record(self, name: str) -> int:
+    def new_record(self, label: str, path: Path | None = None) -> int:
         r = len(self.names)
-        self.names.append(name)
+        self.names.append(label if path is None else f"{label} at {_path_name(path)}")
         for i in range(self.t_max):
             self.clauses.add(-self.bit(r, i), self.bit(r, i + 1))
         self.clauses.add(self.bit(r, self.t_max))
@@ -147,26 +160,148 @@ class _Builder:
         self.clauses.add(-self.bit(record, 0))
 
 
-def encode(
-    program: Program,
-    *,
-    t_max: int | None = None,
-    registry: Registry | None = None,
-    gamma: dict[str, int] | None = None,
-    triple: tuple[int, int, int] | None = None,
-    outer_zero: bool | None = None,
-) -> Encoding:
-    """Compile the typing constraints of a program to a 2-SAT instance.
+class _Graph:
+    """Sink for order facts that keeps them as difference constraints.
 
-    Free knobs may be pinned: `gamma` fixes variable tiers, `triple` fixes
-    the root command judgement (tier, inner channel, outer channel).  When a
-    triple is given its outer component selects the encoding mode; otherwise
-    `outer_zero` does (default True).  `t_max` defaults to the program size,
-    which is an upper bound on any tier a typing can need, and is raised as
-    needed to cover pinned values.
+    Record a gets an edge to record b for tier[b] >= tier[a], and a strict
+    edge, listed again in `strict`, for tier[b] >= tier[a] + 1.  Pins become
+    lower and upper bounds on the few records they touch; every tier is
+    capped at `cap`.  The tallies give the size of the threshold instance
+    `_Builder` would emit for the same facts: cap+1 clauses per record and
+    per edge, plus one or two units per pin.
     """
-    if registry is None:
-        registry = builtin_registry()
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.succ: list[list[int]] = []
+        self.strict: dict[int, list[int]] = {}
+        self.low: dict[int, int] = {}
+        self.high: dict[int, int] = {}
+        self.units = 0
+
+    @property
+    def num_bool_vars(self) -> int:
+        return len(self.succ) * (self.cap + 1)
+
+    @property
+    def clause_count(self) -> int:
+        edges = sum(map(len, self.succ))
+        return (len(self.succ) + edges) * (self.cap + 1) + self.units
+
+    def new_record(self, label: str, path: Path | None = None) -> int:
+        self.succ.append([])
+        return len(self.succ) - 1
+
+    def leq(self, a: int, b: int) -> None:
+        self.succ[a].append(b)
+
+    def eq(self, a: int, b: int) -> None:
+        self.succ[a].append(b)
+        self.succ[b].append(a)
+
+    def lt(self, a: int, b: int) -> None:
+        self.succ[a].append(b)
+        self.strict.setdefault(a, []).append(b)
+
+    def pin(self, record: int, tier: int) -> None:
+        self.pin_at_most(record, tier)
+        if tier > 0:
+            self.low[record] = max(self.low.get(record, 0), tier)
+            self.units += 1
+
+    def pin_at_most(self, record: int, tier: int) -> None:
+        self.high[record] = min(self.high.get(record, tier), tier)
+        self.units += 1
+
+    def pin_positive(self, record: int) -> None:
+        self.low[record] = max(self.low.get(record, 0), 1)
+        self.units += 1
+
+    def solve(self) -> list[int] | None:
+        """Least tier per record, or None when the facts are unsatisfiable."""
+        comp = _strong_components(self.succ)
+        level = [0] * len(comp)  # per component; ids are below len(comp)
+        for v, t in self.low.items():
+            level[comp[v]] = max(level[comp[v]], t)
+        # Component ids are reverse topological, so visiting them in
+        # descending order settles each before any edge leaves it.
+        succ, strict = self.succ, self.strict
+        for v in sorted(range(len(comp)), key=comp.__getitem__, reverse=True):
+            c = comp[v]
+            here = level[c]
+            for u in succ[v]:
+                if level[comp[u]] < here:
+                    level[comp[u]] = here
+            for u in strict.get(v, ()):
+                if comp[u] == c:
+                    return None  # a strict edge on a cycle
+                if level[comp[u]] <= here:
+                    level[comp[u]] = here + 1
+        tiers = [level[c] for c in comp]
+        if tiers and max(tiers) > self.cap:
+            return None
+        if any(tiers[r] > t for r, t in self.high.items()):
+            return None
+        return tiers
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Tarjan's strongly connected components, with an explicit stack.
+
+    Returns a component id per node.  Ids are handed out as components
+    close, which is reverse topological order: an edge from component c to
+    a different component d has c > d.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    tarjan: list[int] = []
+    counter = 0
+    closed = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        tarjan.append(root)
+        path = [root]
+        edges = [iter(succ[root])]
+        while path:
+            v = path[-1]
+            for u in edges[-1]:
+                if index[u] < 0:
+                    index[u] = low[u] = counter
+                    counter += 1
+                    tarjan.append(u)
+                    path.append(u)
+                    edges.append(iter(succ[u]))
+                    break
+                if comp[u] < 0 and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                path.pop()
+                edges.pop()
+                if low[v] == index[v]:
+                    while True:
+                        u = tarjan.pop()
+                        comp[u] = closed
+                        if u == v:
+                            break
+                    closed += 1
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+    return comp
+
+
+def _settle(
+    program: Program,
+    t_max: int | None,
+    gamma: dict[str, int] | None,
+    triple: tuple[int, int, int] | None,
+    outer_zero: bool | None,
+) -> tuple[int, bool]:
+    """Validate the pins and fix the tier cap and the mode."""
     if t_max is None:
         t_max = program_size(program)
     if gamma:
@@ -182,15 +317,25 @@ def encode(
         outer_zero = triple[2] == 0
     elif outer_zero is None:
         outer_zero = True
+    return t_max, outer_zero
 
-    b = _Builder(t_max)
+
+def _rules(
+    program: Program,
+    b,
+    registry: Registry | None,
+    outer_zero: bool,
+    gamma: dict[str, int] | None,
+    triple: tuple[int, int, int] | None,
+) -> tuple[dict[str, int], dict[Path, int], int, int]:
+    """Feed the typing constraints of a program to builder `b`; return the
+    records of the variables, of the nodes and of the two root channels."""
+    if registry is None:
+        registry = DEFAULT_REGISTRY
     var_records = {x: b.new_record(f"var {x}") for x in variables_of(program)}
     root_in = b.new_record("root inner channel")
     root_out = b.new_record("root outer channel")
     node_records: dict[Path, int] = {}
-
-    def path_name(path: Path) -> str:
-        return "/".join(str(tag) for tag in path) if path else "root"
 
     def expr(e, path: Path, in_ref: int, out_ref: int) -> int:
         if isinstance(e, Var):
@@ -199,7 +344,7 @@ def encode(
             return var_records[e.name]
         if isinstance(e, OpApp):
             spec = registry.lookup(e.op)
-            rec = b.new_record(f"op {e.op} at {path_name(path)}")
+            rec = b.new_record(f"op {e.op}", path)
             node_records[path] = rec
             for i, arg in enumerate(e.args):
                 arec = expr(arg, path + (i,), in_ref, out_ref)
@@ -211,7 +356,7 @@ def encode(
                 b.lt(rec, in_ref)
             return rec
         if isinstance(e, OracleCall):
-            rec = b.new_record(f"oracle at {path_name(path)}")
+            rec = b.new_record("oracle", path)
             node_records[path] = rec
             drec = expr(e.data, path + ("data",), in_ref, out_ref)
             brec = expr(e.bound, path + ("bound",), in_ref, out_ref)
@@ -224,19 +369,19 @@ def encode(
 
     def cmd(c, path: Path, in_ref: int, out_ref: int, nested: bool) -> int:
         if isinstance(c, Skip):
-            rec = b.new_record(f"skip at {path_name(path)}")
+            rec = b.new_record("skip", path)
             node_records[path] = rec
             b.pin(rec, 0)
             return rec
         if isinstance(c, Assign):
-            rec = b.new_record(f"assign {c.target} at {path_name(path)}")
+            rec = b.new_record(f"assign {c.target}", path)
             node_records[path] = rec
             b.eq(rec, var_records[c.target])
             erec = expr(c.value, path + ("value",), in_ref, out_ref)
             b.leq(var_records[c.target], erec)
             return rec
         if isinstance(c, Seq):
-            rec = b.new_record(f"seq at {path_name(path)}")
+            rec = b.new_record("seq", path)
             node_records[path] = rec
             first = cmd(c.first, path + ("first",), in_ref, out_ref, nested)
             rest = cmd(c.rest, path + ("rest",), in_ref, out_ref, nested)
@@ -244,7 +389,7 @@ def encode(
             b.leq(rest, rec)
             return rec
         if isinstance(c, If):
-            rec = b.new_record(f"if at {path_name(path)}")
+            rec = b.new_record("if", path)
             node_records[path] = rec
             grec = expr(c.guard, path + ("guard",), in_ref, out_ref)
             b.eq(grec, rec)
@@ -254,7 +399,7 @@ def encode(
             b.leq(orelse, rec)
             return rec
         if isinstance(c, While):
-            rec = b.new_record(f"while at {path_name(path)}")
+            rec = b.new_record("while", path)
             node_records[path] = rec
             b.pin_positive(rec)
             if nested or not outer_zero:
@@ -285,7 +430,32 @@ def encode(
         b.pin_at_most(root_rec, t)
         b.pin(root_in, inner)
         b.pin(root_out, outer)
+    return var_records, node_records, root_in, root_out
 
+
+def encode(
+    program: Program,
+    *,
+    t_max: int | None = None,
+    registry: Registry | None = None,
+    gamma: dict[str, int] | None = None,
+    triple: tuple[int, int, int] | None = None,
+    outer_zero: bool | None = None,
+) -> Encoding:
+    """Compile the typing constraints of a program to a 2-SAT instance.
+
+    Free knobs may be pinned: `gamma` fixes variable tiers, `triple` fixes
+    the root command judgement (tier, inner channel, outer channel).  When a
+    triple is given its outer component selects the encoding mode; otherwise
+    `outer_zero` does (default True).  `t_max` defaults to the program size,
+    which is an upper bound on any tier a typing can need, and is raised as
+    needed to cover pinned values.
+    """
+    t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
+    b = _Builder(t_max)
+    var_records, node_records, root_in, root_out = _rules(
+        program, b, registry, outer_zero, gamma, triple
+    )
     b.clauses.num_vars = len(b.names) * (t_max + 1)
     return Encoding(
         program=program,
@@ -311,7 +481,7 @@ def solve_2sat(clause_set: ClauseSet, *, verify: bool = True) -> list[bool] | No
     every variable is true unless falsity forces it, where falsity seeds at
     negative unit clauses and flows from the consequent of an implication to
     its antecedent.  Other instances get the usual assignment read off the
-    condensation order.
+    component order.
     """
     n = clause_set.num_vars
     if n == 0:
@@ -325,37 +495,29 @@ def solve_2sat(clause_set: ClauseSet, *, verify: bool = True) -> list[bool] | No
     def node(lit: int) -> int:
         return 2 * (abs(lit) - 1) + (0 if lit > 0 else 1)
 
-    src: list[int] = []
-    dst: list[int] = []
+    succ: list[list[int]] = [[] for _ in range(2 * n)]
     implicational = True
     for cl in clause_set.clauses:
         if len(cl) == 1:
             (a,) = cl
-            src.append(node(-a))
-            dst.append(node(a))
+            succ[node(-a)].append(node(a))
         else:
             a, b = cl
             if (a > 0) == (b > 0):
                 implicational = False
-            src.append(node(-a))
-            dst.append(node(b))
-            src.append(node(-b))
-            dst.append(node(a))
+            succ[node(-a)].append(node(b))
+            succ[node(-b)].append(node(a))
 
-    order = 2 * n
-    graph = csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (np.array(src), np.array(dst))),
-        shape=(order, order),
-    )
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    paired = labels.reshape(n, 2)
-    if bool(np.any(paired[:, 0] == paired[:, 1])):
+    comp = _strong_components(succ)
+    if any(comp[2 * v] == comp[2 * v + 1] for v in range(n)):
         return None
 
     if implicational:
         assignment = _greatest_model(clause_set, n)
     else:
-        assignment = _condensation_model(clause_set, labels, graph, n)
+        # Component ids are reverse topological: a literal is true when its
+        # component comes after its negation's in topological order.
+        assignment = [comp[2 * v] < comp[2 * v + 1] for v in range(n)]
     if verify:
         for cl in clause_set.clauses:
             if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in cl):
@@ -387,44 +549,9 @@ def _greatest_model(clause_set: ClauseSet, n: int) -> list[bool]:
     return [v + 1 not in false for v in range(n)]
 
 
-def _condensation_model(
-    clause_set: ClauseSet, labels: np.ndarray, graph: csr_matrix, n: int
-) -> list[bool]:
-    # Kahn order on the component DAG; a literal is true when its component
-    # comes after its negation's.
-    comp_count = int(labels.max()) + 1
-    coo = graph.tocoo()
-    edges = {
-        (int(labels[u]), int(labels[v]))
-        for u, v in zip(coo.row, coo.col)
-        if labels[u] != labels[v]
-    }
-    succs: dict[int, list[int]] = {}
-    indeg = [0] * comp_count
-    for u, v in edges:
-        succs.setdefault(u, []).append(v)
-        indeg[v] += 1
-    queue = deque(c for c in range(comp_count) if indeg[c] == 0)
-    rank = [0] * comp_count
-    seen = 0
-    while queue:
-        c = queue.popleft()
-        rank[c] = seen
-        seen += 1
-        for d in succs.get(c, ()):
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    if seen != comp_count:
-        raise AssertionError("implication graph condensation is cyclic")
-    return [
-        rank[labels[2 * v]] > rank[labels[2 * v + 1]] for v in range(n)
-    ]
-
-
 @dataclass(frozen=True)
 class TierSolution:
-    """Concrete tiers decoded from a satisfying assignment."""
+    """Concrete tiers, one per variable, node and root channel."""
 
     var_tiers: dict[str, int]
     node_tiers: dict[Path, int]
@@ -461,6 +588,57 @@ def decode(encoding: Encoding, assignment: list[bool]) -> TierSolution:
     )
 
 
+def _least(
+    program: Program,
+    *,
+    t_max: int | None,
+    registry: Registry | None,
+    gamma: dict[str, int] | None = None,
+    triple: tuple[int, int, int] | None = None,
+    outer_zero: bool | None = None,
+) -> tuple[_Graph, TierSolution | None]:
+    t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
+    graph = _Graph(t_max)
+    var_records, node_records, root_in, root_out = _rules(
+        program, graph, registry, outer_zero, gamma, triple
+    )
+    tiers = graph.solve()
+    if tiers is None:
+        return graph, None
+    return graph, TierSolution(
+        var_tiers={x: tiers[r] for x, r in var_records.items()},
+        node_tiers={p: tiers[r] for p, r in node_records.items()},
+        root_in=tiers[root_in],
+        root_out=tiers[root_out],
+    )
+
+
+def least_tiers(
+    program: Program,
+    *,
+    t_max: int | None = None,
+    registry: Registry | None = None,
+    gamma: dict[str, int] | None = None,
+    triple: tuple[int, int, int] | None = None,
+    outer_zero: bool | None = None,
+) -> TierSolution | None:
+    """Pointwise least tiers for the constraints `encode` would compile.
+
+    Takes the same knobs as `encode`, with `t_max` as the cap on every tier,
+    and returns what `decode(encoding, solve_2sat(encoding.clause_set))`
+    returns, or None where that instance is unsatisfiable, without building
+    the threshold instance.
+    """
+    return _least(
+        program,
+        t_max=t_max,
+        registry=registry,
+        gamma=gamma,
+        triple=triple,
+        outer_zero=outer_zero,
+    )[1]
+
+
 def to_dimacs(encoding: Encoding) -> str:
     """Render the instance in DIMACS CNF, with a record legend in comments."""
     lines = [
@@ -476,154 +654,23 @@ def to_dimacs(encoding: Encoding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _contains_while(c) -> bool:
-    if isinstance(c, While):
-        return True
-    if isinstance(c, Seq):
-        return _contains_while(c.first) or _contains_while(c.rest)
-    if isinstance(c, If):
-        return _contains_while(c.then) or _contains_while(c.orelse)
-    return False
-
-
 def typable(
     program: Program,
     *,
     t_max: int | None = None,
     registry: Registry | None = None,
 ) -> bool:
-    """Typability verdict only, tuned for bulk comparisons.
-
-    Emits the same constraints as `encode` but straight into the backward
-    implication lists that falsity propagation needs, materializing no
-    clauses: for these implicational instances the encoding is
-    unsatisfiable exactly when propagating falsity back from the negative
-    unit literals reaches a positive unit.  Tests cross-check this path
-    against solve_2sat on the full encoding.
-
-    Without loops the two encoding modes only disagree on the root outer
-    pin, and any typing can be shifted onto outer tier 0, so only the
-    sealed mode is tried then.
-    """
-    if registry is None:
-        registry = builtin_registry()
-    if t_max is None:
-        t_max = program_size(program)
-    modes = (True, False) if _contains_while(program.body) else (True,)
+    """Whether `infer` finds a typing, without building a derivation."""
     return any(
-        _mode_verdict(program, t_max, registry, outer_zero) for outer_zero in modes
+        least_tiers(program, t_max=t_max, registry=registry, outer_zero=outer_zero)
+        is not None
+        for outer_zero in (True, False)
     )
-
-
-def _mode_verdict(
-    program: Program, t_max: int, registry: Registry, outer_zero: bool
-) -> bool:
-    width = t_max + 1
-    back: list[list[int]] = []
-    seeds: list[int] = []
-    pos_units: list[int] = []
-
-    def new_record() -> int:
-        base = len(back)
-        back.extend([] for _ in range(width))
-        for i in range(t_max):
-            back[base + i + 1].append(base + i)
-        pos_units.append(base + t_max)
-        return base
-
-    def leq(a: int, b: int) -> None:
-        for i in range(width):
-            back[a + i].append(b + i)
-
-    def eq(a: int, b: int) -> None:
-        leq(a, b)
-        leq(b, a)
-
-    def lt(a: int, b: int) -> None:
-        for i in range(t_max):
-            back[a + i].append(b + i + 1)
-        seeds.append(b)
-
-    var_records = {x: new_record() for x in variables_of(program)}
-    root_in = new_record()
-    root_out = new_record()
-
-    def expr(e, in_ref: int, out_ref: int) -> int:
-        if isinstance(e, Var):
-            return var_records[e.name]
-        if isinstance(e, OpApp):
-            spec = registry.lookup(e.op)
-            rec = new_record()
-            for arg in e.args:
-                arec = expr(arg, in_ref, out_ref)
-                leq(rec, arec)
-                leq(arec, in_ref)
-            if spec.arity == 0:
-                leq(rec, in_ref)
-            if isinstance(spec.classification, Positive):
-                lt(rec, in_ref)
-            return rec
-        if isinstance(e, OracleCall):
-            rec = new_record()
-            eq(rec, expr(e.data, in_ref, out_ref))
-            eq(expr(e.bound, in_ref, out_ref), out_ref)
-            lt(rec, in_ref)
-            leq(rec, out_ref)
-            return rec
-        raise TypeError(f"not an expression: {e!r}")
-
-    def cmd(c, in_ref: int, out_ref: int, nested: bool) -> int:
-        if isinstance(c, Skip):
-            rec = new_record()
-            pos_units.append(rec)
-            return rec
-        if isinstance(c, Assign):
-            rec = var_records[c.target]
-            leq(rec, expr(c.value, in_ref, out_ref))
-            return rec
-        if isinstance(c, Seq):
-            rec = new_record()
-            leq(cmd(c.first, in_ref, out_ref, nested), rec)
-            leq(cmd(c.rest, in_ref, out_ref, nested), rec)
-            return rec
-        if isinstance(c, If):
-            grec = expr(c.guard, in_ref, out_ref)
-            leq(cmd(c.then, in_ref, out_ref, nested), grec)
-            leq(cmd(c.orelse, in_ref, out_ref, nested), grec)
-            return grec
-        if isinstance(c, While):
-            rec = new_record()
-            seeds.append(rec)
-            if nested or not outer_zero:
-                bound_ref = out_ref
-                leq(rec, bound_ref)
-            else:
-                bound_ref = rec
-            eq(expr(c.guard, in_ref, bound_ref), rec)
-            leq(cmd(c.body, rec, bound_ref, True), rec)
-            return rec
-        raise TypeError(f"not a command: {c!r}")
-
-    cmd(program.body, root_in, root_out, False)
-    if outer_zero:
-        pos_units.append(root_out)
-    else:
-        seeds.append(root_out)
-
-    false = bytearray(len(back))
-    stack = seeds
-    while stack:
-        bit = stack.pop()
-        if false[bit]:
-            continue
-        false[bit] = 1
-        stack.extend(back[bit])
-    return not any(false[u] for u in pos_units)
 
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """A typing found by inference, with solver bookkeeping."""
+    """A typing found by inference, with the size of its 2-SAT instance."""
 
     gamma: dict[str, int]
     triple: tuple[int, int, int]
@@ -653,46 +700,37 @@ def infer(
 ) -> InferenceResult | None:
     """Find a tier typing with pointwise least tiers, or None.
 
-    Both encoding modes are tried, sealed outer channel first, so programs
-    typable at outer tier 0 report that typing.  The result is re-checked by
-    rebuilding and validating a full derivation unless `with_derivation` is
-    switched off.
+    Both modes are tried, sealed outer channel first, so programs typable at
+    outer tier 0 report that typing.  Unless `with_derivation` is switched
+    off, a full derivation is built from the solved tiers and validated rule
+    by rule.  `clause_count` and `num_bool_vars` give the size of the
+    threshold instance `encode` would build for the successful mode.
     """
-    if registry is None:
-        registry = builtin_registry()
     for outer_zero in (True, False):
-        encoding = encode(
-            program,
-            t_max=t_max,
-            registry=registry,
-            outer_zero=outer_zero,
+        graph, solution = _least(
+            program, t_max=t_max, registry=registry, outer_zero=outer_zero
         )
-        model = solve_2sat(encoding.clause_set)
-        if model is None:
+        if solution is None:
             continue
-        solution = decode(encoding, model)
         derivation = None
         if with_derivation:
-            from .tiers import check
+            from .tiers import TypedTriple, build_derivation, verify_derivation
 
-            derivation = check(
+            derivation = build_derivation(
                 program,
                 solution.var_tiers,
-                solution.triple,
-                registry=registry,
-                t_max=encoding.t_max,
+                solution.node_tiers,
+                TypedTriple(*solution.triple),
+                outer_zero=outer_zero,
             )
-            if derivation is None:
-                raise AssertionError(
-                    "inferred typing failed its own derivation check"
-                )
+            verify_derivation(derivation, solution.var_tiers, registry)
         return InferenceResult(
             gamma=solution.var_tiers,
             triple=solution.triple,
             derivation=derivation,
             outer_zero=outer_zero,
-            t_max=encoding.t_max,
-            clause_count=len(encoding.clause_set),
-            num_bool_vars=encoding.clause_set.num_vars,
+            t_max=graph.cap,
+            clause_count=graph.clause_count,
+            num_bool_vars=graph.num_bool_vars,
         )
     return None

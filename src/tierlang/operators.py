@@ -65,8 +65,9 @@ class Registry:
     """Immutable-by-convention operator table.
 
     ``builtin_registry()`` returns a fresh copy, so extending one
-    registry never affects another.  ``extended`` is the supported way
-    to add operators.
+    registry never affects another; ``DEFAULT_REGISTRY`` is one such copy,
+    shared by every call that passes no registry.  ``extended`` is the
+    supported way to add operators.
     """
 
     def __init__(self, specs: tuple[OperatorSpec, ...] = ()):
@@ -161,6 +162,12 @@ def builtin_registry() -> Registry:
         OperatorSpec("1", 0, Neutral(), lambda: "1"),
         OperatorSpec("eps", 0, Neutral(), lambda: ""),
     ))
+
+
+# The table every entry point falls back on when given no registry.  It is
+# shared, so only its cache of word-literal constants ever grows; callers
+# that want to extend a table start from `builtin_registry()` instead.
+DEFAULT_REGISTRY = builtin_registry()
 
 
 @dataclass(frozen=True)

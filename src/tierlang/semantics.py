@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .operators import Registry, builtin_registry, is_word
+from .operators import DEFAULT_REGISTRY, Registry, is_word
 from .syntax import (
     Assign, Cmd, Expr, If, OpApp, OracleCall, Program, Seq, Skip, Var, While,
 )
@@ -300,7 +300,7 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
     count; exceeding it raises FuelExhausted.
     """
     if registry is None:
-        registry = builtin_registry()
+        registry = DEFAULT_REGISTRY
     store = Store(inputs or {})
     trace = ExecutionTrace(initial_store_size=store.size())
     machine = _Machine(registry, oracle, p.oracle_name, trace, fuel)

@@ -439,16 +439,18 @@ class _Parser:
 def parse(source: str, registry=None) -> Program:
     """Parse a program, checking operator arities against the registry."""
     if registry is None:
-        from .operators import builtin_registry
-        registry = builtin_registry()
+        from .operators import DEFAULT_REGISTRY
+
+        registry = DEFAULT_REGISTRY
     return _Parser(_tokenize(source), registry).parse_program()
 
 
 def parse_cmd(source: str, registry=None) -> Cmd:
     """Parse a bare command (no `return`); used by tests and tooling."""
     if registry is None:
-        from .operators import builtin_registry
-        registry = builtin_registry()
+        from .operators import DEFAULT_REGISTRY
+
+        registry = DEFAULT_REGISTRY
     p = _Parser(_tokenize(source), registry)
     cmd = p.parse_cmd()
     p.expect("EOF")

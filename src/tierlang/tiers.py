@@ -2,10 +2,10 @@
 
 A judgement assigns a command a triple (tier, inner, outer): the command's
 own tier, the ceiling for operator argument tiers inside it, and the tier of
-every oracle length bound inside it.  Checking pins the knobs of the clause
-encoding from `inference` and, when satisfiable, rebuilds an explicit
-derivation tree whose every node names the rule applied.  The derivation is
-then re-validated rule by rule, independently of the solver.
+every oracle length bound inside it.  Checking pins the knobs of the tier
+constraints from `inference` and, when they have a least solution, rebuilds
+an explicit derivation tree whose every node names the rule applied.  The
+derivation is then re-validated rule by rule, independently of the solver.
 
 `audit_derivation` checks the semantic safety facts a valid derivation is
 supposed to guarantee: expressions never read below their own tier, commands
@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .operators import OperatorSpec, Positive, Registry, builtin_registry
+from .operators import DEFAULT_REGISTRY, OperatorSpec, Positive, Registry
 from .syntax import (
     Assign,
     Cmd,
@@ -38,7 +38,10 @@ from .syntax import (
     pretty_expr,
     variables_of,
 )
-from .inference import Path, encode, decode, solve_2sat
+from .inference import Path, least_tiers
+
+# The clause pipeline stays reachable from here under its old names.
+from .inference import encode, solve_2sat  # noqa: F401
 
 
 class TypedTriple(NamedTuple):
@@ -150,22 +153,17 @@ def check(
     Returns a validated derivation tree on success, None otherwise.  `gamma`
     may leave variables out; their tiers are then chosen by the solver.
     """
-    if registry is None:
-        registry = builtin_registry()
-    encoding = encode(
+    solution = least_tiers(
         program, t_max=t_max, registry=registry, gamma=gamma, triple=triple
     )
-    model = solve_2sat(encoding.clause_set)
-    if model is None:
+    if solution is None:
         return None
-    solution = decode(encoding, model)
-    want = TypedTriple(*triple)
     derivation = build_derivation(
         program,
         solution.var_tiers,
         solution.node_tiers,
-        want,
-        outer_zero=encoding.outer_zero,
+        TypedTriple(*triple),
+        outer_zero=triple[2] == 0,
     )
     verify_derivation(derivation, solution.var_tiers, registry)
     return derivation
@@ -179,20 +177,16 @@ def check_any(
     t_max: int | None = None,
 ) -> tuple[TypedTriple, Derivation] | None:
     """Find some triple at which the program types under a fixed gamma."""
-    if registry is None:
-        registry = builtin_registry()
     for outer_zero in (True, False):
-        encoding = encode(
+        solution = least_tiers(
             program,
             t_max=t_max,
             registry=registry,
             gamma=gamma,
             outer_zero=outer_zero,
         )
-        model = solve_2sat(encoding.clause_set)
-        if model is None:
+        if solution is None:
             continue
-        solution = decode(encoding, model)
         triple = TypedTriple(*solution.triple)
         derivation = build_derivation(
             program,
@@ -315,7 +309,7 @@ def verify_derivation(
     node is malformed.  Independent of the solver: only the tree, the
     environment and the operator table are consulted."""
     if registry is None:
-        registry = builtin_registry()
+        registry = DEFAULT_REGISTRY
 
     def fail(d: Derivation, why: str) -> None:
         raise DerivationError(

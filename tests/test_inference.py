@@ -1,26 +1,30 @@
-"""Constraint compiler and 2-SAT solver tests.
+"""Constraint generator, least-tiers solver and 2-SAT export tests.
 
-The solver is cross-checked against exhaustive assignment search on small
-random instances, and the fused verdict path against the clause pipeline
-on random programs.
+`least_tiers` (longest paths over difference constraints) is cross-checked
+against the clause pipeline, `decode(solve_2sat(encode(...)))`, on random
+programs with random caps and pins, and `typable` against the clause
+pipeline's verdict.  The 2-SAT solver itself is cross-checked against
+exhaustive assignment search on small random instances.
 """
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from tierlang import inference
 from tierlang.inference import (
     ClauseSet,
     decode,
     encode,
     infer,
+    least_tiers,
     solve_2sat,
     to_dimacs,
     typable,
 )
-from tierlang.syntax import parse, program_size
+from tierlang.syntax import parse, program_size, variables_of
 
 from .strategies import programs
 
@@ -190,11 +194,59 @@ def test_clause_growth_is_quadratic_at_worst(corpus):
         assert len(enc.clause_set.clauses) <= 50 * n * n * t, entry.name
 
 
+def clause_pipeline(p, **knobs):
+    enc = encode(p, **knobs)
+    model = solve_2sat(enc.clause_set)
+    return None if model is None else decode(enc, model)
+
+
 @given(programs(allow_oracle=True))
 @settings(max_examples=120)
 def test_fast_verdict_matches_clause_pipeline(p):
-    expected = infer(p, with_derivation=False) is not None
+    expected = any(
+        clause_pipeline(p, outer_zero=outer_zero) is not None
+        for outer_zero in (True, False)
+    )
     assert typable(p) == expected
+
+
+tiers_drawn = st.integers(0, 4)
+
+
+@given(programs(allow_oracle=True), st.data())
+@settings(max_examples=200)
+def test_least_tiers_matches_clause_pipeline(p, data):
+    # Pins are drawn blind, so many are too low or contradict each other
+    # and exercise the rejection paths.
+    t_max = data.draw(st.none() | tiers_drawn, label="t_max")
+    gamma = data.draw(
+        st.dictionaries(st.sampled_from(variables_of(p)), tiers_drawn),
+        label="gamma",
+    )
+    triple = data.draw(
+        st.none() | st.tuples(tiers_drawn, tiers_drawn, tiers_drawn),
+        label="triple",
+    )
+    for outer_zero in (True, False):
+        knobs = dict(t_max=t_max, gamma=gamma, triple=triple, outer_zero=outer_zero)
+        assert least_tiers(p, **knobs) == clause_pipeline(p, **knobs)
+
+
+def test_reported_sizes_match_the_threshold_instance(corpus):
+    for entry in corpus.values():
+        p = entry.program()
+        for outer_zero in (True, False):
+            graph, _ = inference._least(
+                p, t_max=entry.t_max, registry=None, outer_zero=outer_zero
+            )
+            enc = encode(p, t_max=entry.t_max, outer_zero=outer_zero)
+            assert graph.clause_count == len(enc.clause_set), entry.name
+            assert graph.num_bool_vars == enc.clause_set.num_vars, entry.name
+        result = infer(p, t_max=entry.t_max)
+        if result is not None:
+            enc = encode(p, t_max=entry.t_max, outer_zero=result.outer_zero)
+            assert result.clause_count == len(enc.clause_set), entry.name
+            assert result.num_bool_vars == enc.clause_set.num_vars, entry.name
 
 
 def test_inference_scales_down_with_explicit_t_max():

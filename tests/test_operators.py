@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tierlang.operators import (
+    DEFAULT_REGISTRY,
     Neutral,
     OperatorSpec,
     Positive,
@@ -77,6 +78,13 @@ def test_extended_registry_keeps_builtins(reg):
     reg2 = reg.extended(extra)
     assert "head" in reg2 and "pred" in reg2
     assert "head" not in reg
+
+
+def test_builtin_registry_is_a_fresh_copy():
+    first, second = builtin_registry(), builtin_registry()
+    assert first is not second
+    assert first is not DEFAULT_REGISTRY
+    assert set(DEFAULT_REGISTRY.names()) >= set(first.names())
 
 
 @pytest.mark.parametrize("name", [
