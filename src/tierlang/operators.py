@@ -28,7 +28,7 @@ ALPHABET = ("0", "1")
 
 
 def is_word(w: object) -> bool:
-    return isinstance(w, str) and all(c in "01" for c in w)
+    return isinstance(w, str) and not w.strip("01")
 
 
 def is_subword(u: str, v: str) -> bool:
@@ -97,7 +97,7 @@ class Registry:
             return spec
         word = literal_word(name)
         if word is not None and is_word(word):
-            spec = OperatorSpec(name, 0, Neutral(), lambda w=word: w)
+            spec = OperatorSpec(name, 0, Neutral(), _Constant(word))
             self._specs[name] = spec
             return spec
         raise UnknownOperator(name)
@@ -105,15 +105,46 @@ class Registry:
     def names(self) -> tuple[str, ...]:
         return tuple(self._specs)
 
-    def apply(self, name: str, args: tuple[str, ...]) -> str:
+    def resolve(self, name: str, arity: int) -> Callable[..., str]:
+        """The function that applies operator ``name`` to ``arity`` words.
+
+        Raises UnknownOperator, or ValueError on an arity mismatch.  The
+        builtins and constants return words by construction and come back
+        as they are; any other operator's results are checked, each time,
+        for being words.
+        """
         spec = self.lookup(name)
-        if len(args) != spec.arity:
+        if arity != spec.arity:
             raise ValueError(
-                f"operator {name!r} expects {spec.arity} argument(s), got {len(args)}")
-        out = spec.fn(*args)
-        if not is_word(out):
-            raise ValueError(f"operator {name!r} returned a non-word: {out!r}")
-        return out
+                f"operator {name!r} expects {spec.arity} argument(s), got {arity}")
+        fn = spec.fn
+        if spec in _BUILTINS or type(fn) is _Constant:
+            return fn
+
+        def checked(*args: str) -> str:
+            out = fn(*args)
+            if not is_word(out):
+                raise ValueError(f"operator {name!r} returned a non-word: {out!r}")
+            return out
+
+        return checked
+
+    def apply(self, name: str, args: tuple[str, ...]) -> str:
+        return self.resolve(name, len(args))(*args)
+
+
+class _Constant:
+    """Function of a nullary operator that returns one fixed word."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: str):
+        if not is_word(word):
+            raise ValueError(f"constant {word!r} is not a word over 0/1")
+        self.word = word
+
+    def __call__(self) -> str:
+        return self.word
 
 
 def _pred(w: str) -> str:
@@ -148,20 +179,23 @@ def _maxlen(a: str, b: str) -> str:
     return a if len(a) > len(b) else b
 
 
+_BUILTINS = (
+    OperatorSpec("pred", 1, Neutral(), _pred),
+    OperatorSpec("suc0", 1, Positive(1), _suc0),
+    OperatorSpec("suc1", 1, Positive(1), _suc1),
+    OperatorSpec("eq", 2, Neutral(predicate=True), _eq),
+    OperatorSpec("gt0", 1, Neutral(predicate=True), _gt0),
+    OperatorSpec("geq", 2, Neutral(predicate=True), _geq),
+    OperatorSpec("lmin", 2, Neutral(), _lmin),
+    OperatorSpec("maxlen", 2, Neutral(), _maxlen),
+    OperatorSpec("0", 0, Neutral(), _Constant("0")),
+    OperatorSpec("1", 0, Neutral(), _Constant("1")),
+    OperatorSpec("eps", 0, Neutral(), _Constant("")),
+)
+
+
 def builtin_registry() -> Registry:
-    return Registry((
-        OperatorSpec("pred", 1, Neutral(), _pred),
-        OperatorSpec("suc0", 1, Positive(1), _suc0),
-        OperatorSpec("suc1", 1, Positive(1), _suc1),
-        OperatorSpec("eq", 2, Neutral(predicate=True), _eq),
-        OperatorSpec("gt0", 1, Neutral(predicate=True), _gt0),
-        OperatorSpec("geq", 2, Neutral(predicate=True), _geq),
-        OperatorSpec("lmin", 2, Neutral(), _lmin),
-        OperatorSpec("maxlen", 2, Neutral(), _maxlen),
-        OperatorSpec("0", 0, Neutral(), lambda: "0"),
-        OperatorSpec("1", 0, Neutral(), lambda: "1"),
-        OperatorSpec("eps", 0, Neutral(), lambda: ""),
-    ))
+    return Registry(_BUILTINS)
 
 
 # The table every entry point falls back on when given no registry.  It is

@@ -10,12 +10,26 @@ implicit sequencing node of the unrolling.
 
 Oracle queries always pass through truncate-pad, so the queried word
 has length exactly |bound| + 1 and is never empty.
+
+`run_program` compiles the program body, once per call, into nested
+closures over the store's dict and one step counter, so a step costs a
+closure call instead of a type dispatch and a registry lookup.  The
+closures tick in the order of the derivation and check the fuel after
+every tick.  A right-nested chain of `;` runs as one loop, so the Python
+call depth follows the nesting of the program, not its length.
+
+Words are validated where they enter: input bindings (`Store`), table
+rows (`TableOracle`), oracle answers, and results of operators that are
+not defined in `operators.py`.  Builtins and word-literal constants return
+words by construction and run unchecked.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .operators import DEFAULT_REGISTRY, Registry, is_word
 from .syntax import (
@@ -64,20 +78,24 @@ class OracleRequired(TierRuntimeError):
 
 
 class Oracle:
+    __slots__ = ()
+
     def answer(self, query: str) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableOracle(Oracle):
     """Finite table with a total default rule.
 
     ``default`` is ``("constant", word)`` or ``("echo-length", None)``;
-    the latter answers 1^|query|.
+    the latter answers 1^|query|.  When a query has several rows, the
+    first one answers.
     """
 
     entries: tuple[tuple[str, str], ...] = ()
     default: tuple[str, str | None] = ("constant", "1")
+    _index: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind, value = self.default
@@ -89,9 +107,12 @@ class TableOracle(Oracle):
                 raise ValueError("echo-length default takes no value")
         else:
             raise ValueError(f"unknown default kind {kind!r}")
+        index: dict[str, str] = {}
         for q, a in self.entries:
             if not (is_word(q) and is_word(a)):
                 raise ValueError(f"table entry ({q!r}, {a!r}) is not a word pair")
+            index.setdefault(q, a)
+        object.__setattr__(self, "_index", index)
 
     def default_answer(self, query: str) -> str:
         kind, value = self.default
@@ -100,10 +121,8 @@ class TableOracle(Oracle):
         return "1" * len(query)
 
     def answer(self, query: str) -> str:
-        for q, a in self.entries:
-            if q == query:
-                return a
-        return self.default_answer(query)
+        a = self._index.get(query)
+        return self.default_answer(query) if a is None else a
 
     @classmethod
     def from_json(cls, data: dict) -> "TableOracle":
@@ -127,7 +146,7 @@ class TableOracle(Oracle):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaddedOracle(Oracle):
     """View of an oracle through truncate-pad marker stripping.
 
@@ -190,7 +209,7 @@ class Store:
         return f"Store({inner})"
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionTrace:
     steps: int = 0
     initial_store_size: int = 0
@@ -203,7 +222,7 @@ class ExecutionTrace:
         return max(self.initial_store_size, longest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     value: str
     store: Store
@@ -212,83 +231,220 @@ class RunResult:
 
 # --- Evaluation ----------------------------------------------------------
 
+# Stands in for "no fuel limit": no run reaches this many steps, and an int
+# bound keeps the per-step comparison cheap.
+_UNLIMITED = sys.maxsize
 
-class _Machine:
-    def __init__(self, registry: Registry, oracle: Oracle | None,
-                 oracle_name: str, trace: ExecutionTrace, fuel: int | None):
-        self.registry = registry
-        self.oracle = oracle
-        self.oracle_name = oracle_name
-        self.trace = trace
-        self.fuel = fuel
 
-    def tick(self) -> None:
-        self.trace.steps += 1
-        if self.fuel is not None and self.trace.steps > self.fuel:
-            raise FuelExhausted(self.fuel)
+def _compile(p: Program, registry: Registry, oracle: Oracle | None,
+             fuel: int | None, data: dict[str, str],
+             queries: list[tuple[str, str]]) -> Callable[[], int]:
+    """Compile ``p`` into a closure that runs it on ``data`` and returns the
+    step total.
 
-    def eval_expr(self, e: Expr, store: Store) -> str:
+    Each node becomes one closure that evaluates its children, ticks the
+    shared step counter once per rule application and checks the fuel
+    after every tick, in the order of the derivation.  Errors that depend
+    on a node (an unknown operator, a wrong arity, a missing oracle) are
+    raised when that node is evaluated, never at compile time.
+    """
+    steps = 0
+    limit = _UNLIMITED if fuel is None else fuel
+    get = data.get
+
+    def expr(e: Expr) -> Callable[[], str]:
         if isinstance(e, Var):
-            self.tick()
-            return store.get(e.name)
+            name = e.name
+
+            def var() -> str:
+                nonlocal steps
+                steps += 1
+                if steps > limit:
+                    raise FuelExhausted(fuel)
+                return get(name, "")
+
+            return var
         if isinstance(e, OpApp):
-            args = tuple(self.eval_expr(a, store) for a in e.args)
-            self.tick()
-            return self.registry.apply(e.op, args)
+            args = tuple(expr(a) for a in e.args)
+            op, n = e.op, len(args)
+            try:
+                fn = registry.resolve(op, n)
+            except (KeyError, ValueError):
+                def fn(*words: str) -> str:  # raises again once reached
+                    return registry.resolve(op, n)(*words)
+            if n == 0:
+                def app() -> str:
+                    nonlocal steps
+                    steps += 1
+                    if steps > limit:
+                        raise FuelExhausted(fuel)
+                    return fn()
+            elif n == 1:
+                (a,) = args
+
+                def app() -> str:
+                    nonlocal steps
+                    u = a()
+                    steps += 1
+                    if steps > limit:
+                        raise FuelExhausted(fuel)
+                    return fn(u)
+            elif n == 2:
+                a, b = args
+
+                def app() -> str:
+                    nonlocal steps
+                    u = a()
+                    v = b()
+                    steps += 1
+                    if steps > limit:
+                        raise FuelExhausted(fuel)
+                    return fn(u, v)
+            else:
+                def app() -> str:
+                    nonlocal steps
+                    words = [f() for f in args]
+                    steps += 1
+                    if steps > limit:
+                        raise FuelExhausted(fuel)
+                    return fn(*words)
+            return app
         if isinstance(e, OracleCall):
-            data = self.eval_expr(e.data, store)
-            bound = self.eval_expr(e.bound, store)
-            self.tick()
-            if self.oracle is None:
-                raise OracleRequired(self.oracle_name)
-            query = truncate_pad(data, bound)
-            assert query, "truncate-pad can never produce the empty query"
-            answer = self.oracle.answer(query)
-            if not is_word(answer):
-                raise ValueError(f"oracle answered a non-word: {answer!r}")
-            self.trace.queries.append((query, answer))
-            return answer
+            data_of, bound_of = expr(e.data), expr(e.bound)
+            if oracle is None:
+                name = p.oracle_name
+
+                def call() -> str:
+                    nonlocal steps
+                    data_of()
+                    bound_of()
+                    steps += 1
+                    if steps > limit:
+                        raise FuelExhausted(fuel)
+                    raise OracleRequired(name)
+
+                return call
+            answer_of = oracle.answer
+            record = queries.append
+
+            def call() -> str:
+                nonlocal steps
+                v = data_of()
+                bound = bound_of()
+                steps += 1
+                if steps > limit:
+                    raise FuelExhausted(fuel)
+                query = truncate_pad(v, bound)
+                answer = answer_of(query)
+                if not is_word(answer):
+                    raise ValueError(f"oracle answered a non-word: {answer!r}")
+                record((query, answer))
+                return answer
+
+            return call
         raise TypeError(f"not an expression: {e!r}")
 
-    def guard_value(self, e: Expr, store: Store) -> bool:
-        w = self.eval_expr(e, store)
-        if w == "0":
-            return False
-        if w == "1":
-            return True
-        raise StuckGuard(w)
-
-    def exec_cmd(self, c: Cmd, store: Store) -> None:
+    def cmd(c: Cmd) -> Callable[[], None]:
         if isinstance(c, Skip):
-            self.tick()
-            return
+            def skip() -> None:
+                nonlocal steps
+                steps += 1
+                if steps > limit:
+                    raise FuelExhausted(fuel)
+
+            return skip
         if isinstance(c, Assign):
-            value = self.eval_expr(c.value, store)
-            self.tick()
-            store.set(c.target, value)
-            return
+            value, target = expr(c.value), c.target
+
+            def assign() -> None:
+                nonlocal steps
+                v = value()
+                steps += 1
+                if steps > limit:
+                    raise FuelExhausted(fuel)
+                data[target] = v
+
+            return assign
         if isinstance(c, Seq):
-            self.exec_cmd(c.first, store)
-            self.exec_cmd(c.rest, store)
-            self.tick()
-            return
+            # A right-nested chain runs as one loop.  Its seq rules all
+            # apply after its last command, so their ticks come together.
+            parts = []
+            while isinstance(c, Seq):
+                parts.append(cmd(c.first))
+                c = c.rest
+            parts.append(cmd(c))
+            parts, ticks = tuple(parts), len(parts) - 1
+
+            def seq() -> None:
+                nonlocal steps
+                for part in parts:
+                    part()
+                steps += ticks
+                if steps > limit:
+                    raise FuelExhausted(fuel)
+
+            return seq
         if isinstance(c, If):
-            taken = self.guard_value(c.guard, store)
-            self.exec_cmd(c.then if taken else c.orelse, store)
-            self.tick()
-            return
+            guard, then, orelse = expr(c.guard), cmd(c.then), cmd(c.orelse)
+
+            def branch() -> None:
+                nonlocal steps
+                w = guard()
+                if w == "1":
+                    then()
+                elif w == "0":
+                    orelse()
+                else:
+                    raise StuckGuard(w)
+                steps += 1
+                if steps > limit:
+                    raise FuelExhausted(fuel)
+
+            return branch
         if isinstance(c, While):
-            # Iterative unrolling, charged like the derivation: one loop
-            # rule per test, plus the sequencing node introduced by each
-            # unrolled iteration.
-            while True:
-                taken = self.guard_value(c.guard, store)
-                self.tick()
-                if not taken:
-                    return
-                self.exec_cmd(c.body, store)
-                self.tick()
+            guard, body = expr(c.guard), cmd(c.body)
+
+            def loop() -> None:
+                # Charged like the unrolled derivation: one loop rule per
+                # test, plus the seq rule of each unrolled iteration.
+                nonlocal steps
+                while True:
+                    w = guard()
+                    if w == "1":
+                        steps += 1
+                        if steps > limit:
+                            raise FuelExhausted(fuel)
+                        body()
+                        steps += 1
+                        if steps > limit:
+                            raise FuelExhausted(fuel)
+                    elif w == "0":
+                        steps += 1
+                        if steps > limit:
+                            raise FuelExhausted(fuel)
+                        return
+                    else:
+                        raise StuckGuard(w)
+
+            return loop
         raise TypeError(f"not a command: {c!r}")
+
+    try:
+        body = cmd(p.body)
+    finally:
+        # The two compilers reach each other through their closure cells;
+        # clearing the cells leaves no reference cycle behind the run.
+        expr = cmd = None  # type: ignore[assignment]
+
+    def program() -> int:
+        nonlocal steps
+        body()
+        steps += 1
+        if steps > limit:
+            raise FuelExhausted(fuel)
+        return steps
+
+    return program
 
 
 def run_program(p: Program, inputs: dict[str, str] | None = None,
@@ -303,7 +459,6 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
         registry = DEFAULT_REGISTRY
     store = Store(inputs or {})
     trace = ExecutionTrace(initial_store_size=store.size())
-    machine = _Machine(registry, oracle, p.oracle_name, trace, fuel)
-    machine.exec_cmd(p.body, store)
-    machine.tick()
+    run = _compile(p, registry, oracle, fuel, store._data, trace.queries)
+    trace.steps = run()
     return RunResult(store.get(p.return_var), store, trace)

@@ -218,8 +218,9 @@ def test_criterion_7_step_growth_matches_degree(capfd):
         if not entry.in_sweep:
             continue
         p = entry.program()
-        # Values grow like n^degree, so interpreting scale 2^k costs about
-        # 2^(2k*degree) character copies; cap the quadratic entries at 2^7.
+        # Steps grow like n^degree.  The quadratic entries stop at 2^7, a cap
+        # set by the cost of re-scanning every operator result for 0/1 in
+        # Python, which made each step as slow as its result was long.
         top_k = 10 if entry.degree <= 1 else 7
         scales = [2 ** k for k in range(1, top_k + 1)]
         oracle = random_table_oracle(random.Random(0)) if "phi" in entry.source() else None

@@ -1,8 +1,16 @@
 """Interpreter tests: truncate-pad, step accounting, oracles, failure modes."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from tierlang.operators import (
+    Neutral,
+    OperatorSpec,
+    UnknownOperator,
+    builtin_registry,
+)
 from tierlang.semantics import (
     FuelExhausted,
     PaddedOracle,
@@ -12,7 +20,18 @@ from tierlang.semantics import (
     run_program,
     truncate_pad,
 )
-from tierlang.syntax import parse
+from tierlang.syntax import (
+    Assign,
+    If,
+    OpApp,
+    Program,
+    Seq,
+    Skip,
+    Var,
+    While,
+    literal_op_name,
+    parse,
+)
 
 from .strategies import words
 
@@ -156,3 +175,89 @@ def test_runs_are_deterministic():
 def test_add_computes_unary_sum(a, b):
     res = run_program(ADD, {"x": "1" * a, "y": "1" * b})
     assert res.value == "1" * (a + b)
+
+
+@pytest.mark.parametrize("result", ["12", 12, None])
+def test_custom_operator_results_are_checked(result):
+    reg = builtin_registry().extended(
+        OperatorSpec("bad", 1, Neutral(), lambda w: result))
+    p = parse("y := bad(x) return y", reg)
+    with pytest.raises(ValueError, match="returned a non-word"):
+        run_program(p, {"x": "1"}, registry=reg)
+
+
+def test_custom_operator_words_pass_through():
+    reg = builtin_registry().extended(
+        OperatorSpec("head", 1, Neutral(), lambda w: w[:1]))
+    p = parse("y := head(x) return y", reg)
+    assert run_program(p, {"x": "01"}, registry=reg).value == "0"
+
+
+FALSE = OpApp(literal_op_name("0"))
+TRUE = OpApp(literal_op_name("1"))
+UNKNOWN = Assign("y", OpApp("frobnicate"))
+WRONG_ARITY = Assign("y", OpApp("pred", (Var("x"), Var("x"))))
+
+
+@pytest.mark.parametrize("bad", [UNKNOWN, WRONG_ARITY])
+def test_bad_operators_in_untaken_code_do_not_raise(bad):
+    for body in (If(FALSE, bad, Skip()), If(TRUE, Skip(), bad), While(FALSE, bad)):
+        res = run_program(Program(body, "y"))
+        assert res.value == ""
+
+
+@pytest.mark.parametrize("bad,error", [(UNKNOWN, UnknownOperator),
+                                        (WRONG_ARITY, ValueError)])
+def test_bad_operators_raise_when_reached(bad, error):
+    # The guard and the operator's arguments tick before the operator
+    # fails, so a smaller budget runs out first.
+    p = Program(If(TRUE, bad, Skip()), "y")
+    before = 1 + len(bad.value.args) + 1
+    with pytest.raises(error):
+        run_program(p, {"x": "1"})
+    with pytest.raises(error):
+        run_program(p, {"x": "1"}, fuel=before)
+    with pytest.raises(FuelExhausted):
+        run_program(p, {"x": "1"}, fuel=before - 1)
+
+
+def test_table_oracle_first_row_wins():
+    oracle = TableOracle(entries=(("01", "1"), ("01", "00")),
+                         default=("constant", "111"))
+    assert oracle.answer("01") == "1"
+    res = run_program(parse("y := phi(x | x) return y"), {"x": "0"}, oracle)
+    assert res.trace.queries == [("01", "1")]
+    assert PaddedOracle(oracle).answer(truncate_pad("01", "00")) == "1"
+
+
+def test_table_oracle_index_stays_out_of_equality():
+    rows = (("1", "0"), ("1", "11"))
+    assert TableOracle(rows) == TableOracle(rows)
+    assert hash(TableOracle(rows)) == hash(TableOracle(rows))
+    assert TableOracle(rows) != TableOracle(rows[::-1])
+    assert "_index" not in repr(TableOracle(rows))
+
+
+def test_long_straight_line_program_runs():
+    # Built as an AST: parsing a chain this long still recurses per
+    # statement (ROADMAP item 4).
+    n = 10_000
+    body = Assign("x", OpApp("suc1", (Var("x"),)))
+    for _ in range(n - 1):
+        body = Seq(Assign("x", OpApp("suc1", (Var("x"),))), body)
+    res = run_program(Program(body, "x"))
+    assert res.value == "1" * n
+    # three rules per assignment, n - 1 seq rules, one program rule
+    assert res.trace.steps == 3 * n + (n - 1) + 1
+
+
+def test_a_run_leaves_no_reference_cycles():
+    p = parse("y := phi(x | x) ; while (gt0(x)) { x := pred(x) } return y")
+    oracle = PaddedOracle(TableOracle(default=("echo-length", None)))
+    gc.collect()
+    gc.disable()
+    try:
+        run_program(p, {"x": "111"}, oracle)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
