@@ -18,11 +18,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .operators import Registry
+from .operators import Registry, random_word
 from .semantics import (
     ExecutionTrace,
     Oracle,
-    RunResult,
     TableOracle,
     run_program,
 )
@@ -41,11 +40,6 @@ def count_lookahead_revisions(trace: ExecutionTrace) -> int:
             revisions += 1
             longest = len(query)
     return revisions
-
-
-def random_word(rng: random.Random, max_len: int) -> str:
-    n = rng.randint(0, max_len)
-    return "".join(rng.choice("01") for _ in range(n))
 
 
 def random_table_oracle(
@@ -235,16 +229,3 @@ def noninterference_test(
             if a != b:
                 failures.append(NIFailure(trial, x, a, b))
     return NIReport(level=level, trials=trials, failures=tuple(failures))
-
-
-def run_with_trace(
-    program: Program,
-    inputs: Mapping[str, str],
-    oracle: Oracle | None = None,
-    *,
-    fuel: int = DEFAULT_SWEEP_FUEL,
-    registry: Registry | None = None,
-) -> tuple[RunResult, int]:
-    """Execute once and pair the result with its lookahead revision count."""
-    result = run_program(program, inputs, oracle=oracle, fuel=fuel, registry=registry)
-    return result, count_lookahead_revisions(result.trace)

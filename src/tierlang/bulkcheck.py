@@ -96,7 +96,7 @@ class BulkTyping:
         rev = np.flip(m, axis=axis)
         return np.flip(np.logical_or.accumulate(rev, axis=axis), axis=axis)
 
-    def expr_mask(self, e: Expr, store: bool = True) -> np.ndarray:
+    def expr_mask(self, e: Expr) -> np.ndarray:
         hit = self._expr_memo.get(id(e))
         if hit is not None:
             return hit
@@ -109,7 +109,7 @@ class BulkTyping:
             if spec.arity == 0:
                 mask = result < inner if positive else result <= inner
             elif spec.arity == 1:
-                arg = self.expr_mask(e.args[0], store=store)
+                arg = self.expr_mask(e.args[0])
                 ok = arg & (result <= inner)
                 mask = self._or_from(self._material(ok, self.ax_c), self.ax_c)
                 if positive:
@@ -122,8 +122,7 @@ class BulkTyping:
             raise NotImplementedError("bulk summaries cover oracle-free programs")
         else:
             raise TypeError(f"not an expression: {e!r}")
-        if store:
-            self._expr_memo[id(e)] = mask
+        self._expr_memo[id(e)] = mask
         return mask
 
     def _expr_as_cmd_axes(self, m: np.ndarray) -> np.ndarray:
@@ -132,41 +131,34 @@ class BulkTyping:
         a, b, c = self.ax_a, self.ax_b, self.ax_c
         return np.moveaxis(m, (a, b, c), (b, c, a))
 
-    def cmd_mask(self, c: Cmd, store: bool = True) -> np.ndarray:
+    def cmd_mask(self, c: Cmd) -> np.ndarray:
         hit = self._cmd_memo.get(id(c))
         if hit is not None:
             return hit
         tier = self._grid(self.ax_a)
-        mask = self._build_cmd(c, tier, store)
-        if store:
-            self._cmd_memo[id(c)] = mask
+        mask = self._build_cmd(c, tier)
+        self._cmd_memo[id(c)] = mask
         return mask
 
-    def _build_cmd(self, c: Cmd, tier: np.ndarray, store: bool) -> np.ndarray:
+    def _build_cmd(self, c: Cmd, tier: np.ndarray) -> np.ndarray:
         a, b_ax, c_ax = self.ax_a, self.ax_b, self.ax_c
         if isinstance(c, Skip):
             return np.ones((1,) * self.ndim, dtype=bool)
         if isinstance(c, Assign):
             target = self._grid(self.var_axis[c.target])
-            value = self.expr_mask(c.value, store=store)
+            value = self.expr_mask(c.value)
             fits = value & (target <= self._grid(c_ax))
             some = fits.any(axis=c_ax, keepdims=True)
             return self._expr_as_cmd_axes(some) & (target <= tier)
         if isinstance(c, Seq):
-            return self.cmd_mask(c.first, store=store) & self.cmd_mask(
-                c.rest, store=store
-            )
+            return self.cmd_mask(c.first) & self.cmd_mask(c.rest)
         if isinstance(c, If):
-            guard = self._expr_as_cmd_axes(self.expr_mask(c.guard, store=store))
-            both = (
-                guard
-                & self.cmd_mask(c.then, store=store)
-                & self.cmd_mask(c.orelse, store=store)
-            )
+            guard = self._expr_as_cmd_axes(self.expr_mask(c.guard))
+            both = guard & self.cmd_mask(c.then) & self.cmd_mask(c.orelse)
             return self._or_upto(self._material(both, a), a)
         if isinstance(c, While):
-            guard = self.expr_mask(c.guard, store=store)
-            body = self.cmd_mask(c.body, store=store)
+            guard = self.expr_mask(c.guard)
+            body = self.cmd_mask(c.body)
             positive = self._grid(a) >= 1
 
             # Plain rule: guard at the loop tier, body channels (tier, out),
@@ -200,9 +192,6 @@ class BulkTyping:
             return plain | seal_full
         raise TypeError(f"not a command: {c!r}")
 
-    def typable_mask(self, body: Cmd, store: bool = True) -> np.ndarray:
-        return self.cmd_mask(body, store=store)
-
-    def typable(self, program: Program, store: bool = True) -> bool:
+    def typable(self, program: Program) -> bool:
         """Does any environment and triple with tiers <= cap type it?"""
-        return bool(self.cmd_mask(program.body, store=store).any())
+        return bool(self.cmd_mask(program.body).any())

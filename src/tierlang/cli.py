@@ -2,7 +2,8 @@
 
 Subcommands: parse, check, infer, run, analyze, corpus-check.  Exit codes
 are a stable contract: 0 success (or typable), 1 untypable or failed
-check, 2 parse error, 3 run stuck on a bad guard, 4 fuel exhausted.
+check, 2 parse or usage error (bad input, missing oracle), 3 run stuck on
+a bad guard, 4 fuel exhausted.
 
 Input bindings are var=VALUE where VALUE made of 0/1 only is taken as a
 literal word and any other digit string as a unary number (3 means 111).
@@ -24,6 +25,7 @@ from .inference import encode, infer, to_dimacs
 from .operators import builtin_registry
 from .semantics import (
     FuelExhausted,
+    OracleRequired,
     StuckGuard,
     TableOracle,
     run_program,
@@ -132,11 +134,14 @@ def cmd_check(args) -> int:
 
 def cmd_infer(args) -> int:
     program = _read_program(args.source)
+    result = infer(program, t_max=args.max_tier)
     if args.emit_cnf:
-        encoding = encode(program, t_max=args.max_tier)
+        # The instance of the mode the typing was found in, so its greatest
+        # model decodes to the reported typing; the sealed mode if none.
+        outer_zero = result is None or result.outer_zero
+        encoding = encode(program, t_max=args.max_tier, outer_zero=outer_zero)
         with open(args.emit_cnf, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs(encoding))
-    result = infer(program, t_max=args.max_tier)
     if result is None:
         if args.format == "json":
             print(json.dumps({"typable": False}))
@@ -359,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhausted as exc:
         print(f"fuel exhausted after {exc.fuel} steps", file=sys.stderr)
         return EXIT_FUEL
-    except (ValueError, OSError) as exc:
+    except (OracleRequired, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -66,10 +66,3 @@ def load_corpus() -> tuple[CorpusEntry, ...]:
             )
         )
     return tuple(entries)
-
-
-def corpus_entry(name: str) -> CorpusEntry:
-    for entry in load_corpus():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no corpus entry named {name!r}")

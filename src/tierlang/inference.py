@@ -5,7 +5,8 @@ carries a tier (variable, command node, operator or oracle expression, and
 the two root channels) gets a record, and each typing rule becomes order
 facts between records: a <= b, a == b, a < b, or a pin of one record to an
 exact tier, an upper bound or a lower bound of 1.  `_rules` is the one place
-that turns the typing rules into these facts; it feeds them to a builder.
+that turns the typing rules into these facts, and `_Graph` is the one sink
+that records them.
 
 Each typing rule is a conjunction of such facts except the choice between the
 two while rules.  That choice is global: the rule that seals the outer
@@ -25,25 +26,25 @@ components in topological order, and the typing exists exactly when no
 record then exceeds its upper pin or t_max.  `infer`, `typable` and the
 checker in `tiers` all solve this way.
 
-`encode` feeds the same facts to a builder that expands them into 2-SAT
-over threshold bits, kept as an export and as the cross-check oracle in the
-tests.  Each record gets t_max+1 bits; bit i means "the tier of r is at most
-i".  Records are monotone (bit i implies bit i+1) and bit t_max is pinned
-true, so a model denotes one tier per record, the least i whose bit is set:
+`encode` expands the same graph into 2-SAT over threshold bits, kept as an
+export and as the cross-check oracle in the tests.  Each record gets t_max+1
+bits; bit i means "the tier of r is at most i".  Records are monotone (bit i
+implies bit i+1) and bit t_max is pinned true, so a model denotes one tier
+per record, the least i whose bit is set:
 
     a <= b      (-b_i  or a_i)         for every i
     a == b      both directions of <=
     a <  b      (-b_{i+1} or a_i)      for every i < t_max, plus unit -b_0
 
-All these clauses are implications between bits or unit literals, so the
-models are closed under union and a greatest one exists: greatest in "at
-most" bits is least in tiers.  `solve_2sat` finds it, `decode` reads the
-tiers back and `to_dimacs` renders the instance.
+and a pin becomes one unit per bound.  All these clauses are implications
+between bits or unit literals, so the models are closed under union and a
+greatest one exists: greatest in "at most" bits is least in tiers.
+`solve_2sat` finds it, and accepts only such implicational instances;
+`decode` reads the tiers back and `to_dimacs` renders the instance.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .operators import DEFAULT_REGISTRY, Positive, Registry
@@ -98,10 +99,6 @@ class Encoding:
     outer_zero: bool
     record_names: list[str]
 
-    @property
-    def num_records(self) -> int:
-        return len(self.record_names)
-
     def bit(self, record: int, i: int) -> int:
         """DIMACS variable for "tier of record <= i"."""
         if not 0 <= i <= self.t_max:
@@ -113,71 +110,25 @@ def _path_name(path: Path) -> str:
     return "/".join(str(tag) for tag in path) if path else "root"
 
 
-class _Builder:
-    """Sink for order facts that expands each into threshold clauses."""
-
-    def __init__(self, t_max: int) -> None:
-        self.t_max = t_max
-        self.names: list[str] = []
-        self.clauses = ClauseSet()
-
-    def bit(self, record: int, i: int) -> int:
-        return record * (self.t_max + 1) + i + 1
-
-    def new_record(self, label: str, path: Path | None = None) -> int:
-        r = len(self.names)
-        self.names.append(label if path is None else f"{label} at {_path_name(path)}")
-        for i in range(self.t_max):
-            self.clauses.add(-self.bit(r, i), self.bit(r, i + 1))
-        self.clauses.add(self.bit(r, self.t_max))
-        return r
-
-    def leq(self, a: int, b: int) -> None:
-        """Tier of a is at most tier of b."""
-        for i in range(self.t_max + 1):
-            self.clauses.add(-self.bit(b, i), self.bit(a, i))
-
-    def eq(self, a: int, b: int) -> None:
-        self.leq(a, b)
-        self.leq(b, a)
-
-    def lt(self, a: int, b: int) -> None:
-        """Tier of a is strictly below tier of b."""
-        for i in range(self.t_max):
-            self.clauses.add(-self.bit(b, i + 1), self.bit(a, i))
-        self.clauses.add(-self.bit(b, 0))
-
-    def pin(self, record: int, tier: int) -> None:
-        """Force an exact tier."""
-        self.clauses.add(self.bit(record, tier))
-        if tier > 0:
-            self.clauses.add(-self.bit(record, tier - 1))
-
-    def pin_at_most(self, record: int, tier: int) -> None:
-        self.clauses.add(self.bit(record, tier))
-
-    def pin_positive(self, record: int) -> None:
-        self.clauses.add(-self.bit(record, 0))
-
-
 class _Graph:
     """Sink for order facts that keeps them as difference constraints.
 
     Record a gets an edge to record b for tier[b] >= tier[a], and a strict
     edge, listed again in `strict`, for tier[b] >= tier[a] + 1.  Pins become
-    lower and upper bounds on the few records they touch; every tier is
-    capped at `cap`.  The tallies give the size of the threshold instance
-    `_Builder` would emit for the same facts: cap+1 clauses per record and
-    per edge, plus one or two units per pin.
+    lower and upper bounds on the records they touch; every tier is capped
+    at `cap`.  `solve` finds the least tiers; `threshold_clauses` expands the
+    same facts into the 2-SAT export, cap+1 clauses per record and per edge
+    plus one unit per bound, and the tallies give that instance's size
+    without building it.
     """
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
+        self.labels: list[tuple[str, Path | None]] = []
         self.succ: list[list[int]] = []
         self.strict: dict[int, list[int]] = {}
-        self.low: dict[int, int] = {}
-        self.high: dict[int, int] = {}
-        self.units = 0
+        self.low: list[tuple[int, int]] = []
+        self.high: list[tuple[int, int]] = []
 
     @property
     def num_bool_vars(self) -> int:
@@ -186,9 +137,11 @@ class _Graph:
     @property
     def clause_count(self) -> int:
         edges = sum(map(len, self.succ))
-        return (len(self.succ) + edges) * (self.cap + 1) + self.units
+        pins = len(self.low) + len(self.high)
+        return (len(self.succ) + edges) * (self.cap + 1) + pins
 
     def new_record(self, label: str, path: Path | None = None) -> int:
+        self.labels.append((label, path))
         self.succ.append([])
         return len(self.succ) - 1
 
@@ -204,24 +157,22 @@ class _Graph:
         self.strict.setdefault(a, []).append(b)
 
     def pin(self, record: int, tier: int) -> None:
+        """Force an exact tier."""
         self.pin_at_most(record, tier)
         if tier > 0:
-            self.low[record] = max(self.low.get(record, 0), tier)
-            self.units += 1
+            self.low.append((record, tier))
 
     def pin_at_most(self, record: int, tier: int) -> None:
-        self.high[record] = min(self.high.get(record, tier), tier)
-        self.units += 1
+        self.high.append((record, tier))
 
     def pin_positive(self, record: int) -> None:
-        self.low[record] = max(self.low.get(record, 0), 1)
-        self.units += 1
+        self.low.append((record, 1))
 
     def solve(self) -> list[int] | None:
         """Least tier per record, or None when the facts are unsatisfiable."""
         comp = _strong_components(self.succ)
         level = [0] * len(comp)  # per component; ids are below len(comp)
-        for v, t in self.low.items():
+        for v, t in self.low:
             level[comp[v]] = max(level[comp[v]], t)
         # Component ids are reverse topological, so visiting them in
         # descending order settles each before any edge leaves it.
@@ -240,9 +191,40 @@ class _Graph:
         tiers = [level[c] for c in comp]
         if tiers and max(tiers) > self.cap:
             return None
-        if any(tiers[r] > t for r, t in self.high.items()):
+        if any(tiers[r] > t for r, t in self.high):
             return None
         return tiers
+
+    def threshold_clauses(self) -> ClauseSet:
+        """The facts as 2-SAT over threshold bits; see the module docstring."""
+        cap = self.cap
+
+        def bit(record: int, i: int) -> int:
+            return record * (cap + 1) + i + 1
+
+        clauses = ClauseSet(num_vars=self.num_bool_vars)
+        add = clauses.add
+        for a, targets in enumerate(self.succ):
+            for i in range(cap):
+                add(-bit(a, i), bit(a, i + 1))
+            add(bit(a, cap))
+            # `targets` lists strict edges too; a record can have a strict
+            # and a plain edge to the same target, so match them by count.
+            strict = list(self.strict.get(a, ()))
+            for b in targets:
+                if b in strict:
+                    strict.remove(b)
+                    for i in range(cap):
+                        add(-bit(b, i + 1), bit(a, i))
+                    add(-bit(b, 0))
+                else:
+                    for i in range(cap + 1):
+                        add(-bit(b, i), bit(a, i))
+        for r, t in self.low:
+            add(-bit(r, t - 1))
+        for r, t in self.high:
+            add(bit(r, t))
+        return clauses
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -306,9 +288,11 @@ def _settle(
         t_max = program_size(program)
     if gamma:
         known = set(variables_of(program))
-        for name in gamma:
+        for name, tier in gamma.items():
             if name not in known:
                 raise ValueError(f"gamma mentions unknown variable {name!r}")
+            if tier < 0:
+                raise ValueError(f"gamma gives {name!r} negative tier {tier}")
         t_max = max(t_max, *gamma.values())
     if triple is not None:
         if len(triple) != 3 or min(triple) < 0:
@@ -322,13 +306,13 @@ def _settle(
 
 def _rules(
     program: Program,
-    b,
+    b: _Graph,
     registry: Registry | None,
     outer_zero: bool,
     gamma: dict[str, int] | None,
     triple: tuple[int, int, int] | None,
 ) -> tuple[dict[str, int], dict[Path, int], int, int]:
-    """Feed the typing constraints of a program to builder `b`; return the
+    """Feed the typing constraints of a program to graph `b`; return the
     records of the variables, of the nodes and of the two root channels."""
     if registry is None:
         registry = DEFAULT_REGISTRY
@@ -442,7 +426,8 @@ def encode(
     triple: tuple[int, int, int] | None = None,
     outer_zero: bool | None = None,
 ) -> Encoding:
-    """Compile the typing constraints of a program to a 2-SAT instance.
+    """Compile the typing constraints of a program to a 2-SAT instance,
+    expanded from the same graph `least_tiers` solves.
 
     Free knobs may be pinned: `gamma` fixes variable tiers, `triple` fixes
     the root command judgement (tier, inner channel, outer channel).  When a
@@ -452,101 +437,61 @@ def encode(
     needed to cover pinned values.
     """
     t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
-    b = _Builder(t_max)
+    graph = _Graph(t_max)
     var_records, node_records, root_in, root_out = _rules(
-        program, b, registry, outer_zero, gamma, triple
+        program, graph, registry, outer_zero, gamma, triple
     )
-    b.clauses.num_vars = len(b.names) * (t_max + 1)
     return Encoding(
         program=program,
         t_max=t_max,
-        clause_set=b.clauses,
+        clause_set=graph.threshold_clauses(),
         var_records=var_records,
         node_records=node_records,
         root_in=root_in,
         root_out=root_out,
         outer_zero=outer_zero,
-        record_names=b.names,
+        record_names=[
+            label if path is None else f"{label} at {_path_name(path)}"
+            for label, path in graph.labels
+        ],
     )
 
 
-def solve_2sat(clause_set: ClauseSet, *, verify: bool = True) -> list[bool] | None:
-    """Satisfy a width-<=2 CNF, or return None.
+def solve_2sat(clause_set: ClauseSet) -> list[bool] | None:
+    """Greatest model of an implicational 2-CNF, or None if it has none.
 
-    Satisfiability is decided on the implication graph: the instance is
-    unsatisfiable iff some variable shares a strongly connected component
-    with its negation.  For instances whose binary clauses all pair one
-    positive with one negative literal (implications between variables, the
-    only kind this package emits) the returned model is the greatest one:
-    every variable is true unless falsity forces it, where falsity seeds at
-    negative unit clauses and flows from the consequent of an implication to
-    its antecedent.  Other instances get the usual assignment read off the
-    component order.
+    Every binary clause must pair a positive with a negative literal:
+    (-q or p) says q implies p.  Falsity seeds at the negative unit clauses
+    and spreads from the consequent of each implication to its antecedent;
+    every model makes the variables it reaches false, and the candidate that
+    makes all others true satisfies every implication and negative unit.
+    So the instance has a model exactly when the candidate satisfies the
+    positive units too, and the candidate is then the greatest model.
     """
     n = clause_set.num_vars
-    if n == 0:
-        return []
+    back: dict[int, list[int]] = {}
+    forced: list[int] = []  # forced false, not yet spread
     for cl in clause_set.clauses:
         if any(lit == 0 or abs(lit) > n for lit in cl):
             raise ValueError(f"literal out of range in {cl!r}")
-
-    # Literal node ids: variable v occupies 2(v-1) (positive) and 2(v-1)+1
-    # (negative); XOR with 1 negates.
-    def node(lit: int) -> int:
-        return 2 * (abs(lit) - 1) + (0 if lit > 0 else 1)
-
-    succ: list[list[int]] = [[] for _ in range(2 * n)]
-    implicational = True
-    for cl in clause_set.clauses:
-        if len(cl) == 1:
-            (a,) = cl
-            succ[node(-a)].append(node(a))
-        else:
+        if len(cl) == 2:
             a, b = cl
             if (a > 0) == (b > 0):
-                implicational = False
-            succ[node(-a)].append(node(b))
-            succ[node(-b)].append(node(a))
-
-    comp = _strong_components(succ)
-    if any(comp[2 * v] == comp[2 * v + 1] for v in range(n)):
-        return None
-
-    if implicational:
-        assignment = _greatest_model(clause_set, n)
-    else:
-        # Component ids are reverse topological: a literal is true when its
-        # component comes after its negation's in topological order.
-        assignment = [comp[2 * v] < comp[2 * v + 1] for v in range(n)]
-    if verify:
-        for cl in clause_set.clauses:
-            if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in cl):
-                raise AssertionError(f"model does not satisfy {cl!r}")
-    return assignment
-
-
-def _greatest_model(clause_set: ClauseSet, n: int) -> list[bool]:
-    # Backward closure of falsity: clause (-q or p) says q implies p, so p
-    # false forces q false.  Anything not forced stays true.
-    back: dict[int, list[int]] = {}
-    seeds: list[int] = []
-    for cl in clause_set.clauses:
-        if len(cl) == 1:
-            if cl[0] < 0:
-                seeds.append(-cl[0])
-        else:
-            a, b = cl
+                raise ValueError(f"clause {cl!r} is not an implication")
             consequent, antecedent = (a, -b) if a > 0 else (b, -a)
             back.setdefault(consequent, []).append(antecedent)
-    false: set[int] = set()
-    queue = deque(seeds)
-    while queue:
-        v = queue.popleft()
-        if v in false:
-            continue
-        false.add(v)
-        queue.extend(back.get(v, ()))
-    return [v + 1 not in false for v in range(n)]
+        elif cl[0] < 0:
+            forced.append(-cl[0])
+    model = [True] * n
+    while forced:
+        v = forced.pop()
+        if model[v - 1]:
+            model[v - 1] = False
+            forced.extend(back.get(v, ()))
+    for cl in clause_set.clauses:
+        if not any(model[abs(lit) - 1] == (lit > 0) for lit in cl):
+            return None
+    return model
 
 
 @dataclass(frozen=True)
@@ -565,6 +510,11 @@ class TierSolution:
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.root_tier, self.root_in, self.root_out)
+
+    @property
+    def outer_zero(self) -> bool:
+        """The mode: only the sealed one pins the root outer channel to 0."""
+        return self.root_out == 0
 
 
 def decode(encoding: Encoding, assignment: list[bool]) -> TierSolution:
@@ -654,6 +604,24 @@ def to_dimacs(encoding: Encoding) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _first_mode(
+    program: Program,
+    *,
+    t_max: int | None,
+    registry: Registry | None,
+    gamma: dict[str, int] | None = None,
+) -> tuple[_Graph, TierSolution] | None:
+    """Least tiers in the first mode that types the program, trying the
+    sealed outer channel first, with the graph that was solved."""
+    for outer_zero in (True, False):
+        graph, solution = _least(
+            program, t_max=t_max, registry=registry, gamma=gamma, outer_zero=outer_zero
+        )
+        if solution is not None:
+            return graph, solution
+    return None
+
+
 def typable(
     program: Program,
     *,
@@ -661,11 +629,7 @@ def typable(
     registry: Registry | None = None,
 ) -> bool:
     """Whether `infer` finds a typing, without building a derivation."""
-    return any(
-        least_tiers(program, t_max=t_max, registry=registry, outer_zero=outer_zero)
-        is not None
-        for outer_zero in (True, False)
-    )
+    return _first_mode(program, t_max=t_max, registry=registry) is not None
 
 
 @dataclass(frozen=True)
@@ -706,31 +670,21 @@ def infer(
     by rule.  `clause_count` and `num_bool_vars` give the size of the
     threshold instance `encode` would build for the successful mode.
     """
-    for outer_zero in (True, False):
-        graph, solution = _least(
-            program, t_max=t_max, registry=registry, outer_zero=outer_zero
-        )
-        if solution is None:
-            continue
-        derivation = None
-        if with_derivation:
-            from .tiers import TypedTriple, build_derivation, verify_derivation
+    found = _first_mode(program, t_max=t_max, registry=registry)
+    if found is None:
+        return None
+    graph, solution = found
+    derivation = None
+    if with_derivation:
+        from .tiers import derive
 
-            derivation = build_derivation(
-                program,
-                solution.var_tiers,
-                solution.node_tiers,
-                TypedTriple(*solution.triple),
-                outer_zero=outer_zero,
-            )
-            verify_derivation(derivation, solution.var_tiers, registry)
-        return InferenceResult(
-            gamma=solution.var_tiers,
-            triple=solution.triple,
-            derivation=derivation,
-            outer_zero=outer_zero,
-            t_max=graph.cap,
-            clause_count=graph.clause_count,
-            num_bool_vars=graph.num_bool_vars,
-        )
-    return None
+        derivation = derive(program, solution, solution.triple, registry)
+    return InferenceResult(
+        gamma=solution.var_tiers,
+        triple=solution.triple,
+        derivation=derivation,
+        outer_zero=solution.outer_zero,
+        t_max=graph.cap,
+        clause_count=graph.clause_count,
+        num_bool_vars=graph.num_bool_vars,
+    )

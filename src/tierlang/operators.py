@@ -212,7 +212,8 @@ class ValidationReport:
     reason: str | None = None
 
 
-def _random_word(rng: random.Random, max_len: int) -> str:
+def random_word(rng: random.Random, max_len: int) -> str:
+    """A word of uniformly drawn length 0..max_len with uniform symbols."""
     n = rng.randint(0, max_len)
     return "".join(rng.choice(ALPHABET) for _ in range(n))
 
@@ -230,7 +231,7 @@ def validate_classification(spec: OperatorSpec, trials: int = 500,
     for sym in ALPHABET:
         fixed.append((sym,) * spec.arity)
     samples = fixed + [
-        tuple(_random_word(rng, max_len) for _ in range(spec.arity))
+        tuple(random_word(rng, max_len) for _ in range(spec.arity))
         for _ in range(trials)
     ]
     checked = 0

@@ -198,12 +198,6 @@ class Store:
     def bindings(self) -> dict[str, str]:
         return dict(self._data)
 
-    def copy(self) -> "Store":
-        return Store(self._data)
-
-    def agree_on(self, other: "Store", names) -> bool:
-        return all(self.get(x) == other.get(x) for x in names)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._data.items()))
         return f"Store({inner})"

@@ -38,9 +38,10 @@ from .syntax import (
     pretty_expr,
     variables_of,
 )
-from .inference import Path, least_tiers
+from .inference import Path, TierSolution, _first_mode, least_tiers
 
-# The clause pipeline stays reachable from here under its old names.
+# Kept under their old names because the benchmark's tracer patches
+# `tiers.encode` and `tiers.solve_2sat`.
 from .inference import encode, solve_2sat  # noqa: F401
 
 
@@ -158,15 +159,7 @@ def check(
     )
     if solution is None:
         return None
-    derivation = build_derivation(
-        program,
-        solution.var_tiers,
-        solution.node_tiers,
-        TypedTriple(*triple),
-        outer_zero=triple[2] == 0,
-    )
-    verify_derivation(derivation, solution.var_tiers, registry)
-    return derivation
+    return derive(program, solution, triple, registry)
 
 
 def check_any(
@@ -177,27 +170,33 @@ def check_any(
     t_max: int | None = None,
 ) -> tuple[TypedTriple, Derivation] | None:
     """Find some triple at which the program types under a fixed gamma."""
-    for outer_zero in (True, False):
-        solution = least_tiers(
-            program,
-            t_max=t_max,
-            registry=registry,
-            gamma=gamma,
-            outer_zero=outer_zero,
-        )
-        if solution is None:
-            continue
-        triple = TypedTriple(*solution.triple)
-        derivation = build_derivation(
-            program,
-            solution.var_tiers,
-            solution.node_tiers,
-            triple,
-            outer_zero=outer_zero,
-        )
-        verify_derivation(derivation, solution.var_tiers, registry)
-        return triple, derivation
-    return None
+    found = _first_mode(program, t_max=t_max, registry=registry, gamma=gamma)
+    if found is None:
+        return None
+    _, solution = found
+    triple = TypedTriple(*solution.triple)
+    return triple, derive(program, solution, triple, registry)
+
+
+def derive(
+    program: Program,
+    solution: TierSolution,
+    triple: tuple[int, int, int],
+    registry: Registry | None = None,
+) -> Derivation:
+    """Build the derivation at `triple` from solved tiers and validate it.
+
+    `triple` is the solution's own triple, or one with a higher root tier,
+    which lift steps reach."""
+    derivation = build_derivation(
+        program,
+        solution.var_tiers,
+        solution.node_tiers,
+        TypedTriple(*triple),
+        outer_zero=solution.outer_zero,
+    )
+    verify_derivation(derivation, solution.var_tiers, registry)
+    return derivation
 
 
 def build_derivation(

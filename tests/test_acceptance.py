@@ -13,7 +13,6 @@ from tierlang.analysis import (
     fit_loglog_slope,
     noninterference_test,
     random_table_oracle,
-    random_word,
     sweep,
     unary_inputs,
 )
@@ -21,7 +20,7 @@ from tierlang.bulkcheck import BulkTyping
 from tierlang.bruteforce import enumerate_family
 from tierlang.corpus import load_corpus
 from tierlang.inference import encode, infer, typable
-from tierlang.operators import builtin_registry
+from tierlang.operators import builtin_registry, random_word
 from tierlang.semantics import PaddedOracle, run_program, truncate_pad
 from tierlang.syntax import parse, program_size
 from tierlang.tiers import audit_derivation, check, verify_derivation

@@ -9,11 +9,10 @@ from tierlang.analysis import (
     fit_loglog_slope,
     noninterference_test,
     random_table_oracle,
-    random_word,
-    run_with_trace,
     sweep,
     unary_inputs,
 )
+from tierlang.operators import random_word
 from tierlang.semantics import ExecutionTrace, TableOracle
 from tierlang.syntax import parse
 
@@ -128,13 +127,6 @@ def test_noninterference_uses_one_oracle_for_both_runs():
 def test_noninterference_report_json():
     doc = noninterference_test(ADD, {"x": 1, "y": 0}, 1, trials=10).to_json()
     assert doc["ok"] is True and doc["trials"] == 10
-
-
-def test_run_with_trace_pairs_result_and_revisions():
-    res, revisions = run_with_trace(ADD, {"x": "11"})
-    assert res.value == "11"
-    assert res.trace.steps == 26
-    assert revisions == 0
 
 
 def test_slope_tolerates_constant_programs():

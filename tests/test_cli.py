@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from tierlang.cli import main
+from tierlang.inference import ClauseSet, solve_2sat
 
 ADD_SRC = "while (gt0(x)) { x := pred(x); y := suc1(y) }\nreturn y\n"
 
@@ -100,6 +101,65 @@ def test_infer_emits_cnf_and_derivation(add_file, tmp_path, capsys):
     assert cnf.read_text().splitlines()[0].startswith("c")
     doc = json.loads(tree.read_text())
     assert doc["rule"] in {"while", "while-zero", "lift"}
+
+
+def test_emitted_cnf_decodes_to_the_inferred_typing(corpus, tmp_path, capsys):
+    checked = 0
+    for entry in corpus.values():
+        if not entry.typable:
+            continue
+        source = tmp_path / entry.file
+        source.write_text(entry.source())
+        cnf = tmp_path / f"{entry.name}.cnf"
+        argv = ["infer", str(source), "--format", "json", "--emit-cnf", str(cnf)]
+        if entry.t_max is not None:
+            argv += ["--max-tier", str(entry.t_max)]
+        assert main(argv) == 0, entry.name
+        inferred = json.loads(capsys.readouterr().out)
+
+        records, clauses, header = {}, ClauseSet(), None
+        for line in cnf.read_text().splitlines():
+            if line.startswith("c record "):
+                _, _, _, _, span, name = line.split(" ", 5)
+                records[name] = tuple(map(int, span.split("..")))
+            elif line.startswith("p cnf "):
+                header = tuple(map(int, line.split()[2:]))
+            elif not line.startswith("c"):
+                *lits, end = map(int, line.split())
+                assert end == 0
+                clauses.add(*lits)
+        clauses.num_vars = header[0]
+        assert header == (clauses.num_vars, len(clauses)), entry.name
+
+        model = solve_2sat(clauses)
+        assert model is not None, entry.name
+
+        def tier(name):
+            lo, hi = records[name]
+            return model[lo - 1 : hi].index(True)
+
+        gamma = {n[4:]: tier(n) for n in records if n.startswith("var ")}
+        root = next(n for n in records if n.endswith(" at root"))
+        triple = [tier(root), tier("root inner channel"), tier("root outer channel")]
+        assert gamma == inferred["gamma"], entry.name
+        assert triple == inferred["triple"], entry.name
+        checked += 1
+    assert checked == 8
+
+
+def test_run_without_required_oracle_is_a_usage_error(corpus, tmp_path, capsys):
+    source = tmp_path / "search.tier"
+    source.write_text(corpus["oracle_search"].source())
+    assert main(["run", str(source), "--input", "x=3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "oracle" in err
+    assert "Traceback" not in err
+
+
+def test_negative_gamma_is_a_usage_error(add_file, capsys):
+    code = main(["check", add_file, "--gamma", "x=-1,y=0", "--triple", "1,1,0"])
+    assert code == 2
+    assert "negative tier" in capsys.readouterr().err
 
 
 def test_check_judgement(add_file, capsys):

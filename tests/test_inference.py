@@ -3,8 +3,11 @@
 `least_tiers` (longest paths over difference constraints) is cross-checked
 against the clause pipeline, `decode(solve_2sat(encode(...)))`, on random
 programs with random caps and pins, and `typable` against the clause
-pipeline's verdict.  The 2-SAT solver itself is cross-checked against
-exhaustive assignment search on small random instances.
+pipeline's verdict.  The clauses are expanded from the same constraint
+graph the solver uses, so the pipeline checks the solving, not the rules.
+`solve_2sat`, a greatest-model solver for implicational 2-CNF that shares
+no code with `least_tiers`, is itself cross-checked against exhaustive
+assignment search on small random implicational instances.
 """
 
 import itertools
@@ -25,6 +28,7 @@ from tierlang.inference import (
     typable,
 )
 from tierlang.syntax import parse, program_size, variables_of
+from tierlang.tiers import check
 
 from .strategies import programs
 
@@ -40,27 +44,23 @@ def brute_sat(clause_set: ClauseSet):
             yield model
 
 
-def random_instance(rng, implicational: bool) -> ClauseSet:
+def random_instance(rng) -> ClauseSet:
+    """Implications between variables (mixed-sign pairs) and unit clauses,
+    the only instances `solve_2sat` accepts."""
     n = rng.randint(1, 8)
     cs = ClauseSet(num_vars=n)
     for _ in range(rng.randint(0, 14)):
-        if implicational and rng.random() < 0.8:
-            a, b = rng.randint(1, n), rng.randint(1, n)
-            cs.add(a, -b)
-        elif rng.random() < 0.25:
-            cs.add(rng.choice([1, -1]) * rng.randint(1, n))
+        if rng.random() < 0.8:
+            cs.add(rng.randint(1, n), -rng.randint(1, n))
         else:
-            a = rng.choice([1, -1]) * rng.randint(1, n)
-            b = rng.choice([1, -1]) * rng.randint(1, n)
-            cs.add(a, b)
+            cs.add(rng.choice([1, -1]) * rng.randint(1, n))
     return cs
 
 
-@pytest.mark.parametrize("implicational", [True, False])
-def test_solver_agrees_with_exhaustive_search(implicational):
-    rng = random.Random(7 if implicational else 8)
+def test_solver_agrees_with_exhaustive_search():
+    rng = random.Random(7)
     for trial in range(300):
-        cs = random_instance(rng, implicational)
+        cs = random_instance(rng)
         models = list(brute_sat(cs))
         got = solve_2sat(cs)
         if not models:
@@ -68,15 +68,25 @@ def test_solver_agrees_with_exhaustive_search(implicational):
         else:
             assert got is not None, f"trial {trial}: solver missed all models"
             assert got in models
+            assert all(
+                g or not m for model in models for m, g in zip(model, got)
+            ), f"trial {trial}: a model sets a bit the solver left false"
+
+
+def test_same_sign_binary_clause_is_rejected():
+    for clause in [(1, 2), (-1, -2), (1, 1)]:
+        cs = ClauseSet(num_vars=2)
+        cs.add(1, -2)
+        cs.add(*clause)
+        with pytest.raises(ValueError, match="not an implication"):
+            solve_2sat(cs)
 
 
 def test_implicational_instances_get_the_greatest_model():
     rng = random.Random(9)
     checked = 0
     for _ in range(300):
-        cs = random_instance(rng, True)
-        if any(len(c) == 2 and (c[0] > 0) == (c[1] > 0) for c in cs.clauses):
-            continue  # mixed-sign 2-clauses only on this path
+        cs = random_instance(rng)
         got = solve_2sat(cs)
         if got is None:
             continue
@@ -155,6 +165,17 @@ def test_pinned_gamma_changes_the_verdict():
     assert solve_2sat(enc.clause_set) is None
 
 
+def test_negative_gamma_tiers_are_rejected():
+    p = parse(ADD_SRC)
+    gamma = {"x": -1, "y": 0}
+    with pytest.raises(ValueError, match="negative tier"):
+        encode(p, gamma=gamma)
+    with pytest.raises(ValueError, match="negative tier"):
+        least_tiers(p, gamma=gamma)
+    with pytest.raises(ValueError, match="negative tier"):
+        check(p, gamma, (1, 1, 0))
+
+
 def test_decode_reports_node_and_var_tiers():
     p = parse(ADD_SRC)
     enc = encode(p)
@@ -182,6 +203,17 @@ def test_dimacs_header_matches_instance():
     body = [l for l in lines if l and not l.startswith(("c", "p"))]
     assert len(body) == int(nclauses) == len(enc.clause_set.clauses)
     assert all(l.endswith(" 0") for l in body)
+
+
+def test_strict_and_plain_edges_to_one_record_both_expand():
+    # In a sealed loop's body the loop record is both channels, so the
+    # oracle call gets a strict edge (inner) and a plain one (outer) to it.
+    enc = encode(parse("while (gt0(x)) { y := phi(x | y) } return y"), t_max=1)
+    loop, call = enc.node_records[()], enc.node_records[("body", "value")]
+    bit, clauses = enc.bit, enc.clause_set.clauses
+    assert clauses.count((-bit(loop, 1), bit(call, 0))) == 1  # strict
+    assert clauses.count((-bit(loop, 0), bit(call, 0))) == 1  # plain
+    assert clauses.count((-bit(loop, 1), bit(call, 1))) == 1  # plain
 
 
 def test_clause_growth_is_quadratic_at_worst(corpus):
