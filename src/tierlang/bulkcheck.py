@@ -64,8 +64,10 @@ class BulkTyping:
         self.ax_b = n + 1
         self.ax_c = n + 2
         self._grids: dict[int, np.ndarray] = {}
-        self._expr_memo: dict[int, np.ndarray] = {}
-        self._cmd_memo: dict[int, np.ndarray] = {}
+        # Keyed by id(node); each entry keeps its node alive, so that the
+        # id cannot pass to another node while the entry exists.
+        self._expr_memo: dict[int, tuple[Expr, np.ndarray]] = {}
+        self._cmd_memo: dict[int, tuple[Cmd, np.ndarray]] = {}
 
     def _grid(self, axis: int) -> np.ndarray:
         g = self._grids.get(axis)
@@ -99,7 +101,7 @@ class BulkTyping:
     def expr_mask(self, e: Expr) -> np.ndarray:
         hit = self._expr_memo.get(id(e))
         if hit is not None:
-            return hit
+            return hit[1]
         inner, result = self._grid(self.ax_a), self._grid(self.ax_c)
         if isinstance(e, Var):
             mask = self._grid(self.var_axis[e.name]) == result
@@ -122,7 +124,7 @@ class BulkTyping:
             raise NotImplementedError("bulk summaries cover oracle-free programs")
         else:
             raise TypeError(f"not an expression: {e!r}")
-        self._expr_memo[id(e)] = mask
+        self._expr_memo[id(e)] = (e, mask)
         return mask
 
     def _expr_as_cmd_axes(self, m: np.ndarray) -> np.ndarray:
@@ -134,10 +136,10 @@ class BulkTyping:
     def cmd_mask(self, c: Cmd) -> np.ndarray:
         hit = self._cmd_memo.get(id(c))
         if hit is not None:
-            return hit
+            return hit[1]
         tier = self._grid(self.ax_a)
         mask = self._build_cmd(c, tier)
-        self._cmd_memo[id(c)] = mask
+        self._cmd_memo[id(c)] = (c, mask)
         return mask
 
     def _build_cmd(self, c: Cmd, tier: np.ndarray) -> np.ndarray:

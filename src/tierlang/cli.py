@@ -2,8 +2,9 @@
 
 Subcommands: parse, check, infer, run, analyze, corpus-check.  Exit codes
 are a stable contract: 0 success (or typable), 1 untypable or failed
-check, 2 parse or usage error (bad input, missing oracle), 3 run stuck on
-a bad guard, 4 fuel exhausted.
+check, 2 parse or usage error (bad input, missing oracle, a program too
+long or too deeply nested for the command), 3 run stuck on a bad guard,
+4 fuel exhausted.
 
 Input bindings are var=VALUE where VALUE made of 0/1 only is taken as a
 literal word and any other digit string as a unary number (3 means 111).
@@ -366,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FUEL
     except (OracleRequired, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError as exc:
+        print(f"error: program too long or too deeply nested ({exc})", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -286,6 +286,8 @@ def _settle(
     """Validate the pins and fix the tier cap and the mode."""
     if t_max is None:
         t_max = program_size(program)
+    elif t_max < 0:
+        raise ValueError(f"negative tier cap {t_max}")
     if gamma:
         known = set(variables_of(program))
         for name, tier in gamma.items():

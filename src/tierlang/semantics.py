@@ -125,9 +125,19 @@ class TableOracle(Oracle):
         return self.default_answer(query) if a is None else a
 
     @classmethod
-    def from_json(cls, data: dict) -> "TableOracle":
-        entries = tuple((e["query"], e["answer"]) for e in data.get("entries", ()))
+    def from_json(cls, data) -> "TableOracle":
+        """The table of a JSON oracle spec; ValueError if it has another shape."""
+        if not isinstance(data, dict):
+            raise ValueError("oracle spec must be a JSON object")
+        rows = data.get("entries", [])
+        if not (isinstance(rows, list) and all(
+                isinstance(e, dict) and "query" in e and "answer" in e for e in rows)):
+            raise ValueError('oracle "entries" must be a list of objects '
+                             'with "query" and "answer"')
         d = data.get("default", {"kind": "constant", "value": "1"})
+        if not (isinstance(d, dict) and "kind" in d):
+            raise ValueError('oracle "default" must be an object with a "kind"')
+        entries = tuple((e["query"], e["answer"]) for e in rows)
         return cls(entries, (d["kind"], d.get("value")))
 
     @classmethod

@@ -10,10 +10,16 @@ Words are plain Python strings over the alphabet {0, 1}.  Integer
 literals are sugar for unary words (``3`` means ``111``) and string
 literals are raw words (``"101"``).  Both parse to nullary operator
 applications so that the AST has exactly three expression forms.
+
+The lexer is one regular expression walked with `finditer`.  Tokens are
+`(kind, text, offset)` tuples; a `ParseError` turns the offset into a line
+and column only when it is raised.  A `;` chain of any length is read with
+a loop, so only nesting costs recursion.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "return"})
@@ -229,80 +235,51 @@ _SYMBOLS = {
     "|": "BAR",
 }
 
+# One match per token: blanks and comments, then one group, whose name is
+# the token's kind.  OTHER takes any single character, so `finditer` walks
+# the whole source.  \d is a Unicode decimal digit, as int() accepts; \w
+# also admits non-letters such as "²" as a name's first character, which
+# the lexer rejects.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r'(?:(?P<SYMBOL>:=|[;(){},|])|(?P<STRING>"[^"\n]*")|(?P<INT>\d+)'
+    r"|(?P<NAME>\w+)|(?P<EOF>\Z)|(?P<OTHER>.))",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+# A token is (kind, text, offset of its first character in the source).
+Token = tuple[str, str, int]
 
 
-def _tokenize(source: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith(":=", i):
-            toks.append(_Token("ASSIGN", ":=", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise ParseError("unterminated word literal", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated word literal", line, col)
-            word = source[i + 1:j]
-            if any(c not in "01" for c in word):
-                raise ParseError(f'word literal "{word}" has symbols outside 0/1',
-                                 line, col)
-            toks.append(_Token("STRING", word, line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
+def _error(source: str, message: str, offset: int) -> ParseError:
+    """ParseError at a source offset, which is turned into line and column."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
+def _tokenize(source: str) -> list[Token]:
+    toks: list[Token] = []
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text = m[kind]
+        offset = m.start(kind)
+        if kind == "SYMBOL":
+            kind = _SYMBOLS[text]
+        elif kind == "NAME":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise _error(source, f"unexpected character {text[0]!r}", offset)
+            kind = "KEYWORD" if text in KEYWORDS else "IDENT"
+        elif kind == "STRING":
+            text = text[1:-1]
+            if text.strip("01"):
+                raise _error(source, f'word literal "{text}" has symbols outside 0/1',
+                             offset)
+        elif kind == "OTHER":
+            raise _error(source, "unterminated word literal" if text == '"'
+                         else f"unexpected character {text!r}", offset)
+        toks.append((kind, text, offset))
+        if kind == "EOF":
+            break
     return toks
 
 
@@ -310,53 +287,55 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], registry):
-        self.toks = tokens
+    def __init__(self, source: str, registry):
+        self.source = source
+        self.toks = _tokenize(source)
         self.pos = 0
         self.registry = registry
         self.oracle_name: str | None = None
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def expect(self, kind: str, value: str | None = None) -> Token:
         t = self.toks[self.pos]
+        if t[0] != kind or (value is not None and t[1] != value):
+            want = value if value is not None else kind
+            raise self.error(f"expected {want!r}, found {t[1]!r}", t)
         self.pos += 1
         return t
 
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.value!r}", t.line, t.col)
-        return self.next()
-
-    def fail(self, message: str) -> None:
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        """Error at a token, by default the next one."""
+        if tok is None:
+            tok = self.toks[self.pos]
+        return _error(self.source, message, tok[2])
 
     def parse_program(self) -> Program:
         body = self.parse_cmd()
         self.expect("KEYWORD", "return")
         ret = self.expect("IDENT")
         self.expect("EOF")
-        return Program(body, ret.value, self.oracle_name or "phi")
+        return Program(body, ret[1], self.oracle_name or "phi")
 
     def parse_cmd(self) -> Cmd:
-        first = self.parse_simple_cmd()
-        if self.peek().kind == "SEMI":
-            self.next()
-            rest = self.parse_cmd()
-            return Seq(first, rest)
-        return first
+        """A `;` chain, read with a loop and folded into right-nested Seqs."""
+        cmds = [self.parse_simple_cmd()]
+        while self.peek()[0] == "SEMI":
+            self.pos += 1
+            cmds.append(self.parse_simple_cmd())
+        body = cmds.pop()
+        while cmds:
+            body = Seq(cmds.pop(), body)
+        return body
 
     def parse_simple_cmd(self) -> Cmd:
-        t = self.peek()
-        if t.kind == "KEYWORD" and t.value == "skip":
-            self.next()
+        kind, text, _ = self.peek()
+        if kind == "KEYWORD" and text == "skip":
+            self.pos += 1
             return Skip()
-        if t.kind == "KEYWORD" and t.value == "if":
-            self.next()
+        if kind == "KEYWORD" and text == "if":
+            self.pos += 1
             self.expect("LPAREN")
             guard = self.parse_expr()
             self.expect("RPAREN")
@@ -368,8 +347,8 @@ class _Parser:
             orelse = self.parse_cmd()
             self.expect("RBRACE")
             return If(guard, then, orelse)
-        if t.kind == "KEYWORD" and t.value == "while":
-            self.next()
+        if kind == "KEYWORD" and text == "while":
+            self.pos += 1
             self.expect("LPAREN")
             guard = self.parse_expr()
             self.expect("RPAREN")
@@ -377,62 +356,62 @@ class _Parser:
             body = self.parse_cmd()
             self.expect("RBRACE")
             return While(guard, body)
-        if t.kind == "IDENT":
-            name = self.next().value
+        if kind == "IDENT":
+            self.pos += 1
             self.expect("ASSIGN")
-            value = self.parse_expr()
-            return Assign(name, value)
-        self.fail(f"expected a command, found {t.value!r}")
+            return Assign(text, self.parse_expr())
+        raise self.error(f"expected a command, found {text!r}")
 
     def parse_expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return OpApp(literal_op_name("1" * int(t.value)))
-        if t.kind == "STRING":
-            self.next()
-            return OpApp(literal_op_name(t.value))
-        if t.kind == "IDENT":
-            name_tok = self.next()
-            if self.peek().kind != "LPAREN":
-                return Var(name_tok.value)
-            self.next()
-            if self.peek().kind == "RPAREN":
-                self.next()
+        name_tok = self.peek()
+        kind, text, _ = name_tok
+        if kind == "INT":
+            self.pos += 1
+            return OpApp(literal_op_name("1" * int(text)))
+        if kind == "STRING":
+            self.pos += 1
+            return OpApp(literal_op_name(text))
+        if kind == "IDENT":
+            self.pos += 1
+            if self.peek()[0] != "LPAREN":
+                return Var(text)
+            self.pos += 1
+            if self.peek()[0] == "RPAREN":
+                self.pos += 1
                 return self._op_app(name_tok, ())
             first = self.parse_expr()
-            if self.peek().kind == "BAR":
-                self.next()
+            if self.peek()[0] == "BAR":
+                self.pos += 1
                 bound = self.parse_expr()
                 self.expect("RPAREN")
                 return self._oracle_call(name_tok, first, bound)
             args = [first]
-            while self.peek().kind == "COMMA":
-                self.next()
+            while self.peek()[0] == "COMMA":
+                self.pos += 1
                 args.append(self.parse_expr())
             self.expect("RPAREN")
             return self._op_app(name_tok, tuple(args))
-        self.fail(f"expected an expression, found {t.value!r}")
+        raise self.error(f"expected an expression, found {text!r}")
 
-    def _op_app(self, name_tok: _Token, args: tuple[Expr, ...]) -> OpApp:
-        name = name_tok.value
+    def _op_app(self, name_tok: Token, args: tuple[Expr, ...]) -> OpApp:
+        name = name_tok[1]
         if name not in self.registry:
-            raise ParseError(f"unknown operator {name!r}", name_tok.line, name_tok.col)
+            raise self.error(f"unknown operator {name!r}", name_tok)
         spec = self.registry.lookup(name)
         if spec.arity != len(args):
-            raise ParseError(
+            raise self.error(
                 f"operator {name!r} expects {spec.arity} argument(s), got {len(args)}",
-                name_tok.line, name_tok.col)
+                name_tok)
         return OpApp(name, args)
 
-    def _oracle_call(self, name_tok: _Token, data: Expr, bound: Expr) -> OracleCall:
-        name = name_tok.value
+    def _oracle_call(self, name_tok: Token, data: Expr, bound: Expr) -> OracleCall:
+        name = name_tok[1]
         if self.oracle_name is None:
             self.oracle_name = name
         elif self.oracle_name != name:
-            raise ParseError(
+            raise self.error(
                 f"second oracle symbol {name!r}; the program already queries "
-                f"{self.oracle_name!r}", name_tok.line, name_tok.col)
+                f"{self.oracle_name!r}", name_tok)
         return OracleCall(data, bound)
 
 
@@ -442,19 +421,7 @@ def parse(source: str, registry=None) -> Program:
         from .operators import DEFAULT_REGISTRY
 
         registry = DEFAULT_REGISTRY
-    return _Parser(_tokenize(source), registry).parse_program()
-
-
-def parse_cmd(source: str, registry=None) -> Cmd:
-    """Parse a bare command (no `return`); used by tests and tooling."""
-    if registry is None:
-        from .operators import DEFAULT_REGISTRY
-
-        registry = DEFAULT_REGISTRY
-    p = _Parser(_tokenize(source), registry)
-    cmd = p.parse_cmd()
-    p.expect("EOF")
-    return cmd
+    return _Parser(source, registry).parse_program()
 
 
 # --- Pretty printer ------------------------------------------------------

@@ -17,7 +17,6 @@ fed to it in tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -125,20 +124,6 @@ def admissible_op_type(
     if isinstance(spec.classification, Positive) and ret_tier >= inner:
         return False
     return True
-
-
-def admissible_op_types(
-    spec: OperatorSpec, inner: int, cap: int | None = None
-) -> frozenset[tuple[tuple[int, ...], int]]:
-    """Enumerate every admissible (argument tiers, result tier) pair."""
-    top = inner if cap is None else min(inner, cap)
-    out = []
-    for args in itertools.product(range(top + 1), repeat=spec.arity):
-        lo = min(args) if args else top
-        for ret in range(lo + 1):
-            if admissible_op_type(spec, args, ret, inner):
-                out.append((args, ret))
-    return frozenset(out)
 
 
 def check(

@@ -118,3 +118,19 @@ def test_typing_table_lists_every_success():
             gamma = (("x", gx), ("y", gy))
             expected = derivable(p.body, dict(gamma), *triple, REG)
             assert ((gamma, triple) in table) == expected
+
+
+def test_bulk_memo_outlives_the_programs_it_typed():
+    # The engine memoizes by node identity.  Programs are parsed afresh and
+    # dropped each round, so a memo entry that did not keep its node alive
+    # could be hit by an unrelated node that reuses the address.
+    loop = "while (gt0(x)) { x := pred(x); y := suc1(y) }"
+    spin = "while (gt0(x)) { x := pred(x); x := suc1(x) }"
+    add = f"{loop} return y"
+    engine = BulkTyping(2)
+    for i in range(200):
+        variant = f"{loop}; {'x := suc1(x); ' * (i % 7)}{spin} return y"
+        assert engine.typable(parse(add)), i
+        assert not engine.typable(parse(variant)), i
+    assert typable(parse(add), t_max=2)
+    assert not typable(parse(variant), t_max=2)

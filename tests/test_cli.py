@@ -162,6 +162,46 @@ def test_negative_gamma_is_a_usage_error(add_file, capsys):
     assert "negative tier" in capsys.readouterr().err
 
 
+def _assert_one_error_line(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_negative_tier_cap_is_a_usage_error(add_file, capsys):
+    assert main(["infer", add_file, "--max-tier", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"entries": [{"query": "0"}]}',
+    "[1]",
+    '{"entries": {"query": "0", "answer": "1"}}',
+    '{"default": 3}',
+    '{"default": {"value": "1"}}',
+])
+def test_malformed_oracle_spec_is_a_usage_error(spec, add_file, tmp_path, capsys):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(spec)
+    assert main(["run", add_file, "--input", "x=1", "--oracle", str(oracle)]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["parse", "infer"])
+@pytest.mark.parametrize("source", [
+    ";\n".join(["x := suc1(x)"] * 3000) + "\nreturn x\n",
+    "while (gt0(x)) {\n" * 1000 + "x := pred(x)" + "\n}" * 1000 + "\nreturn x\n",
+], ids=["chain-3000", "nest-1000"])
+def test_too_long_or_deep_program_is_a_usage_error(command, source, tmp_path, capsys):
+    path = tmp_path / "big.tier"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
 def test_check_judgement(add_file, capsys):
     ok = main(["check", add_file, "--gamma", "x=1,y=0", "--triple", "1,1,0"])
     assert ok == 0

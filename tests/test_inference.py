@@ -176,6 +176,16 @@ def test_negative_gamma_tiers_are_rejected():
         check(p, gamma, (1, 1, 0))
 
 
+def test_negative_tier_cap_is_rejected():
+    p = parse(ADD_SRC)
+    with pytest.raises(ValueError, match="negative tier cap"):
+        encode(p, t_max=-1)
+    with pytest.raises(ValueError, match="negative tier cap"):
+        infer(p, t_max=-1)
+    with pytest.raises(ValueError, match="negative tier cap"):
+        typable(p, t_max=-1)
+
+
 def test_decode_reports_node_and_var_tiers():
     p = parse(ADD_SRC)
     enc = encode(p)

@@ -1,7 +1,8 @@
 """Parser, printer and AST helper tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tierlang.syntax import (
     Assign,
@@ -101,6 +102,73 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("while gt0(x) { skip } return x")
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("source, message, where", [
+    ('x := "1', "unterminated word literal", "1:6"),
+    ('x := "0\n" return x', "unterminated word literal", "1:6"),
+    ('x := "102" return x', 'word literal "102" has symbols outside 0/1', "1:6"),
+    ("x := 1 @ return x", "unexpected character '@'", "1:8"),
+    ("x : = 1 return x", "unexpected character ':'", "1:3"),
+    ("x := 1;\r\n\ty := \f return y", "unexpected character '\\x0c'", "2:7"),
+    # A name starts with a letter or `_`, and a numeral has decimal digits
+    # only, so these are neither.
+    ("x := \u00b2 return x", "unexpected character '\u00b2'", "1:6"),
+    ("x := 3\u00b2 return x", "unexpected character '\u00b2'", "1:7"),
+    ("x := \u00bd return x", "unexpected character '\u00bd'", "1:6"),
+    ("while gt0(x) { skip } return x", "expected 'LPAREN', found 'gt0'", "1:7"),
+    ("if (gt0(x)) { skip } return x", "expected 'else', found 'return'", "1:22"),
+    ("x := 1", "expected 'return', found ''", "1:7"),
+    # The end of the source after a trailing comment is where it ends.
+    ("x := 1 # c", "expected 'return', found ''", "1:11"),
+    ("x := 1 return 3", "expected 'IDENT', found '3'", "1:15"),
+    ("x := 1 return x\n  y", "expected 'EOF', found 'y'", "2:3"),
+    ("return x", "expected a command, found 'return'", "1:1"),
+    ("x := ; return x", "expected an expression, found ';'", "1:6"),
+    ("x := foo(x) return x", "unknown operator 'foo'", "1:6"),
+    ("x := pred(x, x) return x", "operator 'pred' expects 1 argument(s), got 2",
+     "1:6"),
+    ("y := ask(x | y);\n  z := tell(x | y) return y",
+     "second oracle symbol 'tell'; the program already queries 'ask'", "2:8"),
+])
+def test_parse_error_messages_and_positions(source, message, where):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.message == message
+    assert f"{exc.value.line}:{exc.value.col}" == where
+    assert str(exc.value) == f"{where}: {message}"
+
+
+def test_decimal_digits_of_other_scripts_are_numerals():
+    assert parse("x := \u0663 return x").body.value == OpApp(literal_op_name("111"))
+
+
+SOUP = ["x", "y", "_t", "\u00e9", "x\u00b2", "ask", "pred", "suc1", "gt0", "nope",
+        "skip", "if", "else", "while", "return", "0", "3", "\u0663", "\u00b2",
+        "\u00bd", '""', '"01"', '"102"', '"1', ":=", ":", ";", "(", ")", "{", "}",
+        ",", "|", "@", "# c", "x :=", "return x"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(SOUP),
+                          st.sampled_from(["", " ", "\n", "\t"])), max_size=40))
+@example([("x :=", " "), ("\u00b2", " "), ("return x", "")])
+def test_token_soup_parses_or_raises_parse_error(pieces):
+    source = "".join(token + gap for token, gap in pieces)
+    try:
+        assert isinstance(parse(source), Program)
+    except (ParseError, RecursionError):
+        pass
+
+
+def test_long_chain_parses_without_recursion():
+    n = 10_000
+    source = ";\n".join(f"x{i % 7} := suc1(x{i % 5})" for i in range(n))
+    c, count = parse(source + "\nreturn x0").body, 1
+    while isinstance(c, Seq):
+        assert not isinstance(c.first, Seq)
+        c, count = c.rest, count + 1
+    assert count == n
+    assert c == Assign(f"x{(n - 1) % 7}", OpApp("suc1", (Var(f"x{(n - 1) % 5}"),)))
 
 
 def test_missing_return_rejected():

@@ -13,7 +13,6 @@ from tierlang.tiers import (
     DerivationError,
     TypedTriple,
     admissible_op_type,
-    admissible_op_types,
     audit_derivation,
     check,
     check_any,
@@ -131,14 +130,6 @@ def test_admissible_op_type_positive_needs_slack():
     assert isinstance(suc.classification, Positive)
     assert admissible_op_type(suc, (1,), 0, inner=2)
     assert not admissible_op_type(suc, (2,), 2, inner=2)  # no room to grow
-
-
-def test_admissible_op_types_enumeration():
-    reg = builtin_registry()
-    got = admissible_op_types(reg.lookup("suc1"), inner=1)
-    assert got == frozenset({((1,), 0), ((0,), 0)})
-    nullary = admissible_op_types(reg.lookup("1"), inner=1)
-    assert nullary == frozenset({((), 0), ((), 1)})
 
 
 def test_check_matches_exhaustive_table():
