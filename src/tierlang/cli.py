@@ -129,7 +129,7 @@ def cmd_check(args) -> int:
         print("typable at the given judgement" if ok else "does not type there")
     if ok and args.emit_derivation:
         with open(args.emit_derivation, "w", encoding="utf-8") as fh:
-            json.dump(derivation.to_json(), fh, indent=2)
+            json.dump(derivation.to_json(program.oracle_name), fh, indent=2)
     return EXIT_OK if ok else EXIT_UNTYPABLE
 
 
@@ -158,7 +158,7 @@ def cmd_infer(args) -> int:
         print(f"gamma    {gamma}")
     if args.emit_derivation:
         with open(args.emit_derivation, "w", encoding="utf-8") as fh:
-            json.dump(result.derivation.to_json(), fh, indent=2)
+            json.dump(result.derivation.to_json(program.oracle_name), fh, indent=2)
     return EXIT_OK
 
 

@@ -6,7 +6,11 @@ the two root channels) gets a record, and each typing rule becomes order
 facts between records: a <= b, a == b, a < b, or a pin of one record to an
 exact tier, an upper bound or a lower bound of 1.  `_rules` is the one place
 that turns the typing rules into these facts, and `_Graph` is the one sink
-that records them.
+that records them.  `_rules` also lists every node occurrence in a node
+table, children before parents, with the rule that types it and the
+records of its tier and its two channels; the checker in `tiers` folds that
+table into a derivation, and `encode` names the records in its legend
+from it.
 
 Each typing rule is a conjunction of such facts except the choice between the
 two while rules.  That choice is global: the rule that seals the outer
@@ -62,11 +66,24 @@ from .syntax import (
     variables_of,
 )
 
-# A path addresses one occurrence of a node: child tags from the root command
-# down.  Sequencing uses "first"/"rest", loops "guard"/"body", conditionals
-# "guard"/"then"/"else", assignments "value", oracle calls "data"/"bound",
-# operator arguments their integer position.
-Path = tuple
+# Rule names used in the node table and in derivation nodes.  "while-zero"
+# is the loop rule whose conclusion has outer tier 0; "lift" raises a
+# command's tier by one.
+RULE_VAR = "var"
+RULE_OP = "op"
+RULE_ORACLE = "oracle"
+RULE_SKIP = "skip"
+RULE_ASSIGN = "assign"
+RULE_SEQ = "seq"
+RULE_IF = "if"
+RULE_WHILE = "while"
+RULE_WHILE_ZERO = "while-zero"
+RULE_LIFT = "lift"
+
+# One row per AST occurrence, children before parents: the rule that types
+# it, the node itself, its tier record, its inner and outer channel records,
+# and its number of premises.
+Row = tuple[str, object, int, int, int, int]
 
 
 @dataclass
@@ -93,7 +110,7 @@ class Encoding:
     t_max: int
     clause_set: ClauseSet
     var_records: dict[str, int]
-    node_records: dict[Path, int]
+    nodes: list[Row]
     root_in: int
     root_out: int
     outer_zero: bool
@@ -104,10 +121,6 @@ class Encoding:
         if not 0 <= i <= self.t_max:
             raise IndexError(f"threshold {i} outside 0..{self.t_max}")
         return record * (self.t_max + 1) + i + 1
-
-
-def _path_name(path: Path) -> str:
-    return "/".join(str(tag) for tag in path) if path else "root"
 
 
 class _Graph:
@@ -124,7 +137,7 @@ class _Graph:
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
-        self.labels: list[tuple[str, Path | None]] = []
+        self.labels: list[str] = []
         self.succ: list[list[int]] = []
         self.strict: dict[int, list[int]] = {}
         self.low: list[tuple[int, int]] = []
@@ -140,8 +153,8 @@ class _Graph:
         pins = len(self.low) + len(self.high)
         return (len(self.succ) + edges) * (self.cap + 1) + pins
 
-    def new_record(self, label: str, path: Path | None = None) -> int:
-        self.labels.append((label, path))
+    def new_record(self, label: str) -> int:
+        self.labels.append(label)
         self.succ.append([])
         return len(self.succ) - 1
 
@@ -313,96 +326,93 @@ def _rules(
     outer_zero: bool,
     gamma: dict[str, int] | None,
     triple: tuple[int, int, int] | None,
-) -> tuple[dict[str, int], dict[Path, int], int, int]:
+) -> tuple[dict[str, int], list[Row], int, int]:
     """Feed the typing constraints of a program to graph `b`; return the
-    records of the variables, of the nodes and of the two root channels."""
+    records of the variables, the node table and the two root channels.
+
+    Records are created in preorder; rows are appended children first, so
+    the last row is the root command's."""
     if registry is None:
         registry = DEFAULT_REGISTRY
     var_records = {x: b.new_record(f"var {x}") for x in variables_of(program)}
     root_in = b.new_record("root inner channel")
     root_out = b.new_record("root outer channel")
-    node_records: dict[Path, int] = {}
+    nodes: list[Row] = []
 
-    def expr(e, path: Path, in_ref: int, out_ref: int) -> int:
+    def expr(e, in_ref: int, out_ref: int) -> int:
         if isinstance(e, Var):
             # Leaves alias the variable record; the rule for variables puts
             # no constraint on either channel.
-            return var_records[e.name]
-        if isinstance(e, OpApp):
+            rec = var_records[e.name]
+            rule, premises = RULE_VAR, 0
+        elif isinstance(e, OpApp):
             spec = registry.lookup(e.op)
-            rec = b.new_record(f"op {e.op}", path)
-            node_records[path] = rec
-            for i, arg in enumerate(e.args):
-                arec = expr(arg, path + (i,), in_ref, out_ref)
+            rec = b.new_record(f"op {e.op}")
+            for arg in e.args:
+                arec = expr(arg, in_ref, out_ref)
                 b.leq(rec, arec)
                 b.leq(arec, in_ref)
             if spec.arity == 0:
                 b.leq(rec, in_ref)
             if isinstance(spec.classification, Positive):
                 b.lt(rec, in_ref)
-            return rec
-        if isinstance(e, OracleCall):
-            rec = b.new_record("oracle", path)
-            node_records[path] = rec
-            drec = expr(e.data, path + ("data",), in_ref, out_ref)
-            brec = expr(e.bound, path + ("bound",), in_ref, out_ref)
+            rule, premises = RULE_OP, len(e.args)
+        elif isinstance(e, OracleCall):
+            rec = b.new_record("oracle")
+            drec = expr(e.data, in_ref, out_ref)
+            brec = expr(e.bound, in_ref, out_ref)
             b.eq(rec, drec)
             b.eq(brec, out_ref)
             b.lt(rec, in_ref)
             b.leq(rec, out_ref)
-            return rec
-        raise TypeError(f"not an expression: {e!r}")
+            rule, premises = RULE_ORACLE, 2
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        nodes.append((rule, e, rec, in_ref, out_ref, premises))
+        return rec
 
-    def cmd(c, path: Path, in_ref: int, out_ref: int, nested: bool) -> int:
+    def cmd(c, in_ref: int, out_ref: int, nested: bool) -> int:
         if isinstance(c, Skip):
-            rec = b.new_record("skip", path)
-            node_records[path] = rec
+            rec = b.new_record("skip")
             b.pin(rec, 0)
-            return rec
-        if isinstance(c, Assign):
-            rec = b.new_record(f"assign {c.target}", path)
-            node_records[path] = rec
+            rule, premises = RULE_SKIP, 0
+        elif isinstance(c, Assign):
+            rec = b.new_record(f"assign {c.target}")
             b.eq(rec, var_records[c.target])
-            erec = expr(c.value, path + ("value",), in_ref, out_ref)
+            erec = expr(c.value, in_ref, out_ref)
             b.leq(var_records[c.target], erec)
-            return rec
-        if isinstance(c, Seq):
-            rec = b.new_record("seq", path)
-            node_records[path] = rec
-            first = cmd(c.first, path + ("first",), in_ref, out_ref, nested)
-            rest = cmd(c.rest, path + ("rest",), in_ref, out_ref, nested)
-            b.leq(first, rec)
-            b.leq(rest, rec)
-            return rec
-        if isinstance(c, If):
-            rec = b.new_record("if", path)
-            node_records[path] = rec
-            grec = expr(c.guard, path + ("guard",), in_ref, out_ref)
-            b.eq(grec, rec)
-            then = cmd(c.then, path + ("then",), in_ref, out_ref, nested)
-            orelse = cmd(c.orelse, path + ("else",), in_ref, out_ref, nested)
-            b.leq(then, rec)
-            b.leq(orelse, rec)
-            return rec
-        if isinstance(c, While):
-            rec = b.new_record("while", path)
-            node_records[path] = rec
+            rule, premises = RULE_ASSIGN, 1
+        elif isinstance(c, Seq):
+            rec = b.new_record("seq")
+            b.leq(cmd(c.first, in_ref, out_ref, nested), rec)
+            b.leq(cmd(c.rest, in_ref, out_ref, nested), rec)
+            rule, premises = RULE_SEQ, 2
+        elif isinstance(c, If):
+            rec = b.new_record("if")
+            b.eq(expr(c.guard, in_ref, out_ref), rec)
+            b.leq(cmd(c.then, in_ref, out_ref, nested), rec)
+            b.leq(cmd(c.orelse, in_ref, out_ref, nested), rec)
+            rule, premises = RULE_IF, 3
+        elif isinstance(c, While):
+            rec = b.new_record("while")
             b.pin_positive(rec)
             if nested or not outer_zero:
-                bound_ref = out_ref
+                rule, bound_ref = RULE_WHILE, out_ref
                 b.leq(rec, bound_ref)
             else:
                 # Sealed mode: the loop's own tier bounds the oracle channel
-                # of everything inside it.
-                bound_ref = rec
-            grec = expr(c.guard, path + ("guard",), in_ref, bound_ref)
-            b.eq(grec, rec)
-            body = cmd(c.body, path + ("body",), rec, bound_ref, True)
-            b.leq(body, rec)
-            return rec
-        raise TypeError(f"not a command: {c!r}")
+                # of everything inside it, and the rule concludes at the
+                # root outer channel, pinned to 0.
+                rule, bound_ref = RULE_WHILE_ZERO, rec
+            b.eq(expr(c.guard, in_ref, bound_ref), rec)
+            b.leq(cmd(c.body, rec, bound_ref, True), rec)
+            premises = 2
+        else:
+            raise TypeError(f"not a command: {c!r}")
+        nodes.append((rule, c, rec, in_ref, out_ref, premises))
+        return rec
 
-    root_rec = cmd(program.body, (), root_in, root_out, False)
+    root_rec = cmd(program.body, root_in, root_out, False)
 
     if outer_zero:
         b.pin(root_out, 0)
@@ -416,7 +426,36 @@ def _rules(
         b.pin_at_most(root_rec, t)
         b.pin(root_in, inner)
         b.pin(root_out, outer)
-    return var_records, node_records, root_in, root_out
+    return var_records, nodes, root_in, root_out
+
+
+# Child tags of the DIMACS legend's node paths; operator arguments are
+# tagged by position.
+_CHILD_TAGS = {
+    RULE_ORACLE: ("data", "bound"),
+    RULE_ASSIGN: ("value",),
+    RULE_SEQ: ("first", "rest"),
+    RULE_IF: ("guard", "then", "else"),
+    RULE_WHILE: ("guard", "body"),
+    RULE_WHILE_ZERO: ("guard", "body"),
+}
+
+
+def _record_names(labels: list[str], nodes: list[Row]) -> list[str]:
+    """Legend names: each node record's label gets the node's path of child
+    tags from the root command, rebuilt from the node table."""
+    names = list(labels)
+    pending = ["root"]
+    # Reversed, the table lists every node before its descendants, last
+    # child first; so each node's path is on top of `pending` when it comes.
+    for rule, _, rec, _, _, premises in reversed(nodes):
+        path = pending.pop()
+        if rule != RULE_VAR:
+            names[rec] += f" at {path}"
+        prefix = "" if path == "root" else path + "/"
+        tags = _CHILD_TAGS.get(rule, range(premises))
+        pending.extend(f"{prefix}{tag}" for tag in tags)
+    return names
 
 
 def encode(
@@ -440,7 +479,7 @@ def encode(
     """
     t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
     graph = _Graph(t_max)
-    var_records, node_records, root_in, root_out = _rules(
+    var_records, nodes, root_in, root_out = _rules(
         program, graph, registry, outer_zero, gamma, triple
     )
     return Encoding(
@@ -448,14 +487,11 @@ def encode(
         t_max=t_max,
         clause_set=graph.threshold_clauses(),
         var_records=var_records,
-        node_records=node_records,
+        nodes=nodes,
         root_in=root_in,
         root_out=root_out,
         outer_zero=outer_zero,
-        record_names=[
-            label if path is None else f"{label} at {_path_name(path)}"
-            for label, path in graph.labels
-        ],
+        record_names=_record_names(graph.labels, nodes),
     )
 
 
@@ -498,16 +534,19 @@ def solve_2sat(clause_set: ClauseSet) -> list[bool] | None:
 
 @dataclass(frozen=True)
 class TierSolution:
-    """Concrete tiers, one per variable, node and root channel."""
+    """Concrete tiers, one per record, with the node table whose rows name
+    the records of every node; the variable and root channel tiers are
+    read out."""
 
     var_tiers: dict[str, int]
-    node_tiers: dict[Path, int]
+    tiers: list[int]
+    nodes: list[Row]
     root_in: int
     root_out: int
 
     @property
     def root_tier(self) -> int:
-        return self.node_tiers[()]
+        return self.tiers[self.nodes[-1][2]]
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -532,12 +571,16 @@ def decode(encoding: Encoding, assignment: list[bool]) -> TierSolution:
             )
         return tier
 
-    return TierSolution(
-        var_tiers={x: tier_of(r) for x, r in encoding.var_records.items()},
-        node_tiers={p: tier_of(r) for p, r in encoding.node_records.items()},
-        root_in=tier_of(encoding.root_in),
-        root_out=tier_of(encoding.root_out),
-    )
+    tiers = [tier_of(r) for r in range(len(encoding.record_names))]
+    records = encoding.var_records, encoding.nodes, encoding.root_in, encoding.root_out
+    return _solution(tiers, records)
+
+
+def _solution(tiers: list[int], records: tuple) -> TierSolution:
+    """Read tiers out per record for what `_rules` returned."""
+    var_records, nodes, root_in, root_out = records
+    var_tiers = {x: tiers[r] for x, r in var_records.items()}
+    return TierSolution(var_tiers, tiers, nodes, tiers[root_in], tiers[root_out])
 
 
 def _least(
@@ -551,18 +594,11 @@ def _least(
 ) -> tuple[_Graph, TierSolution | None]:
     t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
     graph = _Graph(t_max)
-    var_records, node_records, root_in, root_out = _rules(
-        program, graph, registry, outer_zero, gamma, triple
-    )
+    records = _rules(program, graph, registry, outer_zero, gamma, triple)
     tiers = graph.solve()
     if tiers is None:
         return graph, None
-    return graph, TierSolution(
-        var_tiers={x: tiers[r] for x, r in var_records.items()},
-        node_tiers={p: tiers[r] for p, r in node_records.items()},
-        root_in=tiers[root_in],
-        root_out=tiers[root_out],
-    )
+    return graph, _solution(tiers, records)
 
 
 def least_tiers(
@@ -680,7 +716,7 @@ def infer(
     if with_derivation:
         from .tiers import derive
 
-        derivation = derive(program, solution, solution.triple, registry)
+        derivation = derive(solution, solution.triple, registry)
     return InferenceResult(
         gamma=solution.var_tiers,
         triple=solution.triple,

@@ -3,8 +3,11 @@
 A judgement assigns a command a triple (tier, inner, outer): the command's
 own tier, the ceiling for operator argument tiers inside it, and the tier of
 every oracle length bound inside it.  Checking pins the knobs of the tier
-constraints from `inference` and, when they have a least solution, rebuilds
-an explicit derivation tree whose every node names the rule applied.  The
+constraints from `inference` and, when they have a least solution, folds the
+solution's node table into an explicit derivation tree whose every node
+names the rule applied: each row's triple is the solved tiers of its three
+records, and lift steps raise command premises to the tier of their rule.
+All rule choices are made once, by the constraint generator.  The
 derivation is then re-validated rule by rule, independently of the solver.
 
 `audit_derivation` checks the semantic safety facts a valid derivation is
@@ -37,7 +40,21 @@ from .syntax import (
     pretty_expr,
     variables_of,
 )
-from .inference import Path, TierSolution, _first_mode, least_tiers
+from .inference import (
+    RULE_ASSIGN,
+    RULE_IF,
+    RULE_LIFT,
+    RULE_OP,
+    RULE_ORACLE,
+    RULE_SEQ,
+    RULE_SKIP,
+    RULE_VAR,
+    RULE_WHILE,
+    RULE_WHILE_ZERO,
+    TierSolution,
+    _first_mode,
+    least_tiers,
+)
 
 # Kept under their old names because the benchmark's tracer patches
 # `tiers.encode` and `tiers.solve_2sat`.
@@ -49,19 +66,6 @@ class TypedTriple(NamedTuple):
     inner: int
     outer: int
 
-
-# Rule names used in derivation nodes.  "while-zero" is the loop rule whose
-# conclusion has outer tier 0; "lift" raises a command's tier by one.
-RULE_VAR = "var"
-RULE_OP = "op"
-RULE_ORACLE = "oracle"
-RULE_SKIP = "skip"
-RULE_ASSIGN = "assign"
-RULE_SEQ = "seq"
-RULE_IF = "if"
-RULE_WHILE = "while"
-RULE_WHILE_ZERO = "while-zero"
-RULE_LIFT = "lift"
 
 COMMAND_RULES = frozenset(
     {RULE_SKIP, RULE_ASSIGN, RULE_SEQ, RULE_IF, RULE_WHILE, RULE_WHILE_ZERO, RULE_LIFT}
@@ -79,32 +83,37 @@ class Derivation:
     children: tuple["Derivation", ...] = ()
 
     def walk(self) -> Iterator["Derivation"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node in preorder."""
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            yield d
+            stack.extend(reversed(d.children))
 
-    def to_json(self) -> dict:
+    def to_json(self, oracle_name: str = "phi") -> dict:
+        """The tree as nested dicts; subjects print oracle calls with
+        `oracle_name`, the program's oracle symbol."""
         return {
             "rule": self.rule,
-            "subject": _subject_label(self.subject),
+            "subject": _subject_label(self.subject, oracle_name),
             "triple": list(self.triple),
-            "children": [c.to_json() for c in self.children],
+            "children": [c.to_json(oracle_name) for c in self.children],
         }
 
 
-def _subject_label(subject: object) -> str:
+def _subject_label(subject: object, oracle_name: str = "phi") -> str:
     if isinstance(subject, Expr):
-        return pretty_expr(subject)
+        return pretty_expr(subject, oracle_name)
     if isinstance(subject, Skip):
         return "skip"
     if isinstance(subject, Assign):
-        return f"{subject.target} := {pretty_expr(subject.value)}"
+        return f"{subject.target} := {pretty_expr(subject.value, oracle_name)}"
     if isinstance(subject, Seq):
         return "seq"
     if isinstance(subject, If):
-        return f"if ({pretty_expr(subject.guard)})"
+        return f"if ({pretty_expr(subject.guard, oracle_name)})"
     if isinstance(subject, While):
-        return f"while ({pretty_expr(subject.guard)})"
+        return f"while ({pretty_expr(subject.guard, oracle_name)})"
     return str(subject)
 
 
@@ -144,7 +153,7 @@ def check(
     )
     if solution is None:
         return None
-    return derive(program, solution, triple, registry)
+    return derive(solution, triple, registry)
 
 
 def check_any(
@@ -160,11 +169,10 @@ def check_any(
         return None
     _, solution = found
     triple = TypedTriple(*solution.triple)
-    return triple, derive(program, solution, triple, registry)
+    return triple, derive(solution, triple, registry)
 
 
 def derive(
-    program: Program,
     solution: TierSolution,
     triple: tuple[int, int, int],
     registry: Registry | None = None,
@@ -173,111 +181,46 @@ def derive(
 
     `triple` is the solution's own triple, or one with a higher root tier,
     which lift steps reach."""
-    derivation = build_derivation(
-        program,
-        solution.var_tiers,
-        solution.node_tiers,
-        TypedTriple(*triple),
-        outer_zero=solution.outer_zero,
-    )
+    derivation = build_derivation(solution, TypedTriple(*triple))
     verify_derivation(derivation, solution.var_tiers, registry)
     return derivation
 
 
-def build_derivation(
-    program: Program,
-    var_tiers: dict[str, int],
-    node_tiers: dict[Path, int],
-    triple: TypedTriple,
-    *,
-    outer_zero: bool,
-) -> Derivation:
-    """Assemble a derivation tree from solved per-node tiers.
+def _lift(d: Derivation, tier: int) -> Derivation:
+    """Raise a command judgement to `tier` by lift steps."""
+    while d.triple.tier < tier:
+        raised = d.triple._replace(tier=d.triple.tier + 1)
+        d = Derivation(RULE_LIFT, d.subject, raised, (d,))
+    if d.triple.tier != tier:
+        raise AssertionError(
+            f"cannot lower {d.triple.tier} to {tier} at {_subject_label(d.subject)}"
+        )
+    return d
 
-    Node tiers are the tiers at rule introduction; lift steps are inserted
-    wherever the surrounding rule demands a higher tier.
+
+def build_derivation(solution: TierSolution, triple: TypedTriple) -> Derivation:
+    """Assemble a derivation tree by folding the solution's node table.
+
+    Each row becomes one rule application whose triple is the solved tiers
+    of its records (tier, inner channel, outer channel); its premises are
+    the last rows built, and command premises are lifted to its tier.  The
+    root is lifted to the tier of `triple`.
     """
-
-    def lift_to(d: Derivation, tier: int) -> Derivation:
-        while d.triple.tier < tier:
-            d = Derivation(
-                RULE_LIFT,
-                d.subject,
-                TypedTriple(d.triple.tier + 1, d.triple.inner, d.triple.outer),
-                (d,),
-            )
-        if d.triple.tier != tier:
-            raise AssertionError(
-                f"cannot lower {d.triple.tier} to {tier} at {_subject_label(d.subject)}"
-            )
-        return d
-
-    def expr(e: Expr, path: Path, inner: int, outer: int) -> Derivation:
-        if isinstance(e, Var):
-            return Derivation(
-                RULE_VAR, e, TypedTriple(var_tiers[e.name], inner, outer)
-            )
-        if isinstance(e, OpApp):
+    tiers = solution.tiers
+    stack: list[Derivation] = []
+    for rule, subject, rec, in_rec, out_rec, premises in solution.nodes:
+        tier = tiers[rec]
+        kids = ()
+        if premises:
             kids = tuple(
-                expr(a, path + (i,), inner, outer) for i, a in enumerate(e.args)
+                _lift(d, tier) if d.rule in COMMAND_RULES else d
+                for d in stack[-premises:]
             )
-            return Derivation(
-                RULE_OP, e, TypedTriple(node_tiers[path], inner, outer), kids
-            )
-        if isinstance(e, OracleCall):
-            kids = (
-                expr(e.data, path + ("data",), inner, outer),
-                expr(e.bound, path + ("bound",), inner, outer),
-            )
-            return Derivation(
-                RULE_ORACLE, e, TypedTriple(node_tiers[path], inner, outer), kids
-            )
-        raise TypeError(f"not an expression: {e!r}")
-
-    def cmd(c: Cmd, path: Path, inner: int, outer: int, nested: bool) -> Derivation:
-        tier = node_tiers[path]
-        if isinstance(c, Skip):
-            return Derivation(RULE_SKIP, c, TypedTriple(0, inner, outer))
-        if isinstance(c, Assign):
-            value = expr(c.value, path + ("value",), inner, outer)
-            return Derivation(
-                RULE_ASSIGN, c, TypedTriple(tier, inner, outer), (value,)
-            )
-        if isinstance(c, Seq):
-            first = cmd(c.first, path + ("first",), inner, outer, nested)
-            rest = cmd(c.rest, path + ("rest",), inner, outer, nested)
-            return Derivation(
-                RULE_SEQ,
-                c,
-                TypedTriple(tier, inner, outer),
-                (lift_to(first, tier), lift_to(rest, tier)),
-            )
-        if isinstance(c, If):
-            guard = expr(c.guard, path + ("guard",), inner, outer)
-            then = cmd(c.then, path + ("then",), inner, outer, nested)
-            orelse = cmd(c.orelse, path + ("else",), inner, outer, nested)
-            return Derivation(
-                RULE_IF,
-                c,
-                TypedTriple(tier, inner, outer),
-                (guard, lift_to(then, tier), lift_to(orelse, tier)),
-            )
-        if isinstance(c, While):
-            sealed = outer_zero and not nested
-            bound = tier if sealed else outer
-            guard = expr(c.guard, path + ("guard",), inner, bound)
-            body = lift_to(cmd(c.body, path + ("body",), tier, bound, True), tier)
-            if sealed:
-                return Derivation(
-                    RULE_WHILE_ZERO, c, TypedTriple(tier, inner, 0), (guard, body)
-                )
-            return Derivation(
-                RULE_WHILE, c, TypedTriple(tier, inner, outer), (guard, body)
-            )
-        raise TypeError(f"not a command: {c!r}")
-
-    root = cmd(program.body, (), triple.inner, triple.outer, False)
-    return lift_to(root, triple.tier)
+            del stack[-premises:]
+        triple_here = TypedTriple(tier, tiers[in_rec], tiers[out_rec])
+        stack.append(Derivation(rule, subject, triple_here, kids))
+    (root,) = stack
+    return _lift(root, triple.tier)
 
 
 class DerivationError(AssertionError):
@@ -300,7 +243,7 @@ def verify_derivation(
             f"{d.rule} node for {_subject_label(d.subject)} at {d.triple}: {why}"
         )
 
-    def walk(d: Derivation) -> None:
+    for d in derivation.walk():
         t, inner, outer = d.triple
         if min(d.triple) < 0:
             fail(d, "negative tier")
@@ -416,10 +359,6 @@ def verify_derivation(
                 fail(d, "only commands can be lifted")
         else:
             fail(d, f"unknown rule {d.rule!r}")
-        for kid in d.children:
-            walk(kid)
-
-    walk(derivation)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Command line driver tests, run in-process through main()."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tierlang
 from tierlang.cli import main
 from tierlang.inference import ClauseSet, solve_2sat
 
@@ -214,6 +216,29 @@ def test_check_without_gamma_searches(add_file):
     assert main(["check", add_file, "--triple", "0,0,0"]) == 1
 
 
+def test_check_reaches_a_high_tier_by_a_long_lift_chain(tmp_path):
+    src = tmp_path / "skip.tier"
+    src.write_text("skip\nreturn x\n")
+    assert main(["check", str(src), "--triple", "1200,0,0"]) == 0
+
+
+def test_derivations_label_calls_with_the_programs_oracle(tmp_path, capsys):
+    src = tmp_path / "psi.tier"
+    src.write_text("y := psi(x | z)\nreturn y\n")
+    inferred, checked = tmp_path / "inferred.json", tmp_path / "checked.json"
+    assert main(["infer", str(src), "--emit-derivation", str(inferred)]) == 0
+    assert main(["check", str(src), "--gamma", "x=0,y=0,z=0", "--triple", "0,1,0",
+                 "--emit-derivation", str(checked)]) == 0
+    for tree in (inferred, checked):
+        stack, subjects = [json.loads(tree.read_text())], []
+        while stack:
+            node = stack.pop()
+            subjects.append(node["subject"])
+            stack.extend(node["children"])
+        assert "psi(x | z)" in subjects and "y := psi(x | z)" in subjects
+        assert not any("phi" in s for s in subjects), subjects
+
+
 def test_analyze_sweep(add_file, capsys, tmp_path):
     data = tmp_path / "points.tsv"
     code = main(["analyze", add_file, "--sweep", "1:17", "--scale-vars", "x",
@@ -247,9 +272,13 @@ def test_seed_env_override(add_file, monkeypatch, capsys):
 
 
 def test_console_script_installed():
+    # The child imports the package under test, also when only pytest's
+    # `pythonpath` setting put it on the path.
+    src = os.path.dirname(os.path.dirname(tierlang.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tierlang.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "infer" in proc.stdout

@@ -193,7 +193,7 @@ def test_decode_reports_node_and_var_tiers():
     sol = decode(enc, model)
     assert sol.var_tiers == {"x": 1, "y": 0}
     assert sol.triple == (1, 1, 0)
-    assert () in sol.node_tiers  # root command path
+    assert sol.root_tier == 1  # the root command's record
 
 
 def test_infer_result_json_shape():
@@ -219,7 +219,8 @@ def test_strict_and_plain_edges_to_one_record_both_expand():
     # In a sealed loop's body the loop record is both channels, so the
     # oracle call gets a strict edge (inner) and a plain one (outer) to it.
     enc = encode(parse("while (gt0(x)) { y := phi(x | y) } return y"), t_max=1)
-    loop, call = enc.node_records[()], enc.node_records[("body", "value")]
+    names = enc.record_names
+    loop, call = names.index("while at root"), names.index("oracle at body/value")
     bit, clauses = enc.bit, enc.clause_set.clauses
     assert clauses.count((-bit(loop, 1), bit(call, 0))) == 1  # strict
     assert clauses.count((-bit(loop, 0), bit(call, 0))) == 1  # plain

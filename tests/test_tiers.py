@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given
 
 from tierlang.bruteforce import typing_table
 from tierlang.operators import Positive, builtin_registry
@@ -18,6 +19,8 @@ from tierlang.tiers import (
     check_any,
     verify_derivation,
 )
+
+from .strategies import programs
 
 
 ADD = parse("while (gt0(x)) { x := pred(x); y := suc1(y) } return y")
@@ -115,6 +118,25 @@ def test_lift_nodes_step_by_exactly_one():
         assert node.triple.tier == child.triple.tier + 1
 
 
+def test_walk_is_preorder():
+    def preorder(d):
+        yield d
+        for kid in d.children:
+            yield from preorder(kid)
+
+    d = check(ADD, {"x": 2, "y": 0}, (3, 2, 0), t_max=3)
+    assert list(map(id, d.walk())) == list(map(id, preorder(d)))
+
+
+def test_long_lift_chains_verify_and_audit():
+    # Tier 3000 is reached by 3000 lift steps over one skip; verify and
+    # audit walk the chain without the Python stack.
+    d = check(parse("skip return x"), {"x": 0}, (3000, 0, 0))
+    assert d is not None
+    assert sum(1 for _ in d.walk()) == 3001
+    assert audit_derivation(d, {"x": 0}).ok
+
+
 def test_admissible_op_type_neutral_unary():
     reg = builtin_registry()
     pred = reg.lookup("pred")
@@ -158,3 +180,21 @@ def test_oracle_side_condition_enforced():
     # oracle data must sit strictly below the inner channel
     assert check(p, {"x": 0, "y": 0, "z": 0}, (0, 0, 0)) is None
     assert check(p, {"x": 0, "y": 0, "z": 0}, (0, 1, 0)) is not None
+
+
+@given(programs(allow_oracle=True))
+def test_check_matches_exhaustive_table_on_random_programs(p):
+    # every rule shape, oracle calls included: each (gamma, triple) at cap 1,
+    # and each derivation found passes the audit
+    cap = 1
+    names = sorted(variables_of(p))
+    table = typing_table(p, cap)
+    for tiers in itertools.product(range(cap + 1), repeat=len(names)):
+        gamma = dict(zip(names, tiers))
+        for triple in itertools.product(range(cap + 1), repeat=3):
+            d = check(p, gamma, triple, t_max=cap)
+            expected = (tuple(sorted(gamma.items())), triple) in table
+            assert (d is not None) == expected, (gamma, triple)
+            if d is not None:
+                report = audit_derivation(d, gamma)
+                assert report.ok, report.violations
