@@ -6,6 +6,12 @@ check, 2 parse or usage error (bad input, missing oracle, a program too
 long or too deeply nested for the command), 3 run stuck on a bad guard,
 4 fuel exhausted.
 
+`check` and `infer` serialize the tree for `--emit-derivation` before they
+print or write anything.  JSON nests one object per tree level, and at the
+default recursion limit a tree more than about 490 levels deep (such as a
+judgement reached by 500 lift steps) is too deep to serialize: the command
+then exits 2 with one `error:` line, prints no verdict and writes no file.
+
 Input bindings are var=VALUE where VALUE made of 0/1 only is taken as a
 literal word and any other digit string as a unary number (3 means 111).
 Oracle behaviour comes from a JSON spec file; runs are otherwise fully
@@ -19,6 +25,7 @@ import json
 import os
 import random
 import sys
+from pathlib import Path
 
 from . import analysis
 from .corpus import load_corpus
@@ -105,6 +112,12 @@ def _load_oracle(path: str | None) -> TableOracle | None:
     return TableOracle.load(path)
 
 
+def _derivation_text(derivation, program) -> str:
+    # Serialized before anything is printed or opened, so a tree too deep
+    # for `json` ends the command with one error line and no file.
+    return json.dumps(derivation.to_json(program.oracle_name), indent=2)
+
+
 def cmd_parse(args) -> int:
     program = _read_program(args.source)
     if args.format == "json":
@@ -120,22 +133,27 @@ def cmd_check(args) -> int:
     triple = _parse_triple(args.triple)
     derivation = check(program, gamma, triple, t_max=args.max_tier)
     ok = derivation is not None
+    tree = None
+    if ok and args.emit_derivation:
+        tree = _derivation_text(derivation, program)
     if args.format == "json":
         payload = {"ok": ok, "gamma": gamma, "triple": list(triple)}
-        if ok and args.emit_derivation:
+        if tree is not None:
             payload["derivation"] = args.emit_derivation
         print(json.dumps(payload, indent=2))
     else:
         print("typable at the given judgement" if ok else "does not type there")
-    if ok and args.emit_derivation:
-        with open(args.emit_derivation, "w", encoding="utf-8") as fh:
-            json.dump(derivation.to_json(program.oracle_name), fh, indent=2)
+    if tree is not None:
+        Path(args.emit_derivation).write_text(tree, encoding="utf-8")
     return EXIT_OK if ok else EXIT_UNTYPABLE
 
 
 def cmd_infer(args) -> int:
     program = _read_program(args.source)
     result = infer(program, t_max=args.max_tier)
+    tree = None
+    if result is not None and args.emit_derivation:
+        tree = _derivation_text(result.derivation, program)
     if args.emit_cnf:
         # The instance of the mode the typing was found in, so its greatest
         # model decodes to the reported typing; the sealed mode if none.
@@ -156,9 +174,8 @@ def cmd_infer(args) -> int:
         t, inner, outer = result.triple
         print(f"typable  tier {t}  inner {inner}  outer {outer}")
         print(f"gamma    {gamma}")
-    if args.emit_derivation:
-        with open(args.emit_derivation, "w", encoding="utf-8") as fh:
-            json.dump(result.derivation.to_json(program.oracle_name), fh, indent=2)
+    if tree is not None:
+        Path(args.emit_derivation).write_text(tree, encoding="utf-8")
     return EXIT_OK
 
 
@@ -268,7 +285,9 @@ def cmd_corpus_check(args) -> int:
                 problems.append(f"gamma {result.gamma} != {entry.gamma}")
             if entry.triple is not None and tuple(result.triple) != entry.triple:
                 problems.append(f"triple {result.triple} != {entry.triple}")
-            report = audit_derivation(result.derivation, result.gamma)
+            report = audit_derivation(
+                result.derivation, result.gamma, oracle_name=program.oracle_name
+            )
             if not report.ok:
                 problems.append(f"audit: {report.violations[0].detail}")
         ok = not problems

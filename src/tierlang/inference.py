@@ -716,7 +716,9 @@ def infer(
     if with_derivation:
         from .tiers import derive
 
-        derivation = derive(solution, solution.triple, registry)
+        derivation = derive(
+            solution, solution.triple, registry, oracle_name=program.oracle_name
+        )
     return InferenceResult(
         gamma=solution.var_tiers,
         triple=solution.triple,

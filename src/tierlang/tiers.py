@@ -10,16 +10,22 @@ records, and lift steps raise command premises to the tier of their rule.
 All rule choices are made once, by the constraint generator.  The
 derivation is then re-validated rule by rule, independently of the solver.
 
-`audit_derivation` checks the semantic safety facts a valid derivation is
+`audit_derivation` checks the six safety facts a valid derivation is
 supposed to guarantee: expressions never read below their own tier, commands
-never write above theirs, tiers only shrink downwards in the tree, and loop
+never write above theirs, tiers only shrink downwards in the tree, loop
 tiers cap (and are capped by) the channels of everything strictly inside
-them.  The audit takes an arbitrary derivation tree, so forged trees can be
-fed to it in tests.
+them, and the sealing loop rule never sits inside a loop.  The audit takes
+an arbitrary derivation tree, so forged trees can be fed to it in tests.
+It is one preorder walk with an explicit stack: the enclosing loops travel
+down as running aggregates, and the tiers each subject reads and writes
+come from a memo, so its cost is linear in the tree plus the violations it
+reports.  Verification and audit messages print oracle calls with the
+program's oracle symbol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -36,9 +42,7 @@ from .syntax import (
     Skip,
     Var,
     While,
-    assigned_vars,
     pretty_expr,
-    variables_of,
 )
 from .inference import (
     RULE_ASSIGN,
@@ -71,6 +75,7 @@ COMMAND_RULES = frozenset(
     {RULE_SKIP, RULE_ASSIGN, RULE_SEQ, RULE_IF, RULE_WHILE, RULE_WHILE_ZERO, RULE_LIFT}
 )
 EXPR_RULES = frozenset({RULE_VAR, RULE_OP, RULE_ORACLE})
+_LOOP_RULES = frozenset({RULE_WHILE, RULE_WHILE_ZERO})
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ def check(
     )
     if solution is None:
         return None
-    return derive(solution, triple, registry)
+    return derive(solution, triple, registry, oracle_name=program.oracle_name)
 
 
 def check_any(
@@ -169,20 +174,23 @@ def check_any(
         return None
     _, solution = found
     triple = TypedTriple(*solution.triple)
-    return triple, derive(solution, triple, registry)
+    return triple, derive(solution, triple, registry, oracle_name=program.oracle_name)
 
 
 def derive(
     solution: TierSolution,
     triple: tuple[int, int, int],
     registry: Registry | None = None,
+    *,
+    oracle_name: str = "phi",
 ) -> Derivation:
     """Build the derivation at `triple` from solved tiers and validate it.
 
     `triple` is the solution's own triple, or one with a higher root tier,
-    which lift steps reach."""
+    which lift steps reach; `oracle_name` is the program's oracle symbol,
+    for error messages."""
     derivation = build_derivation(solution, TypedTriple(*triple))
-    verify_derivation(derivation, solution.var_tiers, registry)
+    verify_derivation(derivation, solution.var_tiers, registry, oracle_name=oracle_name)
     return derivation
 
 
@@ -231,17 +239,19 @@ def verify_derivation(
     derivation: Derivation,
     gamma: dict[str, int],
     registry: Registry | None = None,
+    *,
+    oracle_name: str = "phi",
 ) -> None:
     """Re-check every rule application locally; raise DerivationError if any
     node is malformed.  Independent of the solver: only the tree, the
-    environment and the operator table are consulted."""
+    environment and the operator table are consulted.  Messages print
+    oracle calls with `oracle_name`."""
     if registry is None:
         registry = DEFAULT_REGISTRY
 
     def fail(d: Derivation, why: str) -> None:
-        raise DerivationError(
-            f"{d.rule} node for {_subject_label(d.subject)} at {d.triple}: {why}"
-        )
+        label = _subject_label(d.subject, oracle_name)
+        raise DerivationError(f"{d.rule} node for {label} at {d.triple}: {why}")
 
     for d in derivation.walk():
         t, inner, outer = d.triple
@@ -383,7 +393,84 @@ class AuditReport:
         }
 
 
-def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditReport:
+def _parts(node: object) -> tuple:
+    """The sub-expressions and subcommands of an AST node, in source order."""
+    if isinstance(node, OpApp):
+        return node.args
+    if isinstance(node, OracleCall):
+        return (node.data, node.bound)
+    if isinstance(node, Assign):
+        return (node.value,)
+    if isinstance(node, Seq):
+        return (node.first, node.rest)
+    if isinstance(node, If):
+        return (node.guard, node.then, node.orelse)
+    if isinstance(node, While):
+        return (node.guard, node.body)
+    return ()
+
+
+def _access_tiers(
+    root: object, gamma: dict[str, int], memo: dict[int, tuple[float, float]]
+) -> tuple[float, float]:
+    """The least tier `root` reads and the greatest tier it assigns.
+
+    Reads are the names `variables_of` lists (assignment targets included),
+    writes the names `assigned_vars` lists; a name missing from `gamma` sits
+    at tier 0.  Fills `memo`, keyed by node id, for `root` and every node
+    below it not yet there: nodes are listed in preorder with a stack and
+    combined in reverse, so parts come before the node they belong to.
+    """
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in memo:
+            order.append(node)
+            stack.extend(_parts(node))
+    for node in reversed(order):
+        if isinstance(node, Var):
+            read, write = gamma.get(node.name, 0), -math.inf
+        elif isinstance(node, Assign):
+            write = gamma.get(node.target, 0)
+            read = min(write, memo[id(node.value)][0])
+        else:
+            read, write = math.inf, -math.inf
+            for part in _parts(node):
+                part_read, part_write = memo[id(part)]
+                if part_read < read:
+                    read = part_read
+                if part_write > write:
+                    write = part_write
+        memo[id(node)] = (read, write)
+    return memo[id(root)]
+
+
+def _names(node: object, *, reads: bool) -> list[str]:
+    """The names read (with assignment targets) or only assigned in `node`,
+    in order of first occurrence."""
+    seen: dict[str, None] = {}
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assign):
+            seen.setdefault(node.target)
+        elif reads and isinstance(node, Var):
+            seen.setdefault(node.name)
+        stack.extend(reversed(_parts(node)))
+    return list(seen)
+
+
+# What a derivation node knows of the loops enclosing it: the least tier of
+# the command nodes over a `While`, the greatest tier of the loop-rule
+# nodes, how many loop-rule nodes there are, and a linked chain
+# (node, rest) of all those nodes, nearest first, read only for reports.
+_NO_LOOPS = (math.inf, -math.inf, 0, None)
+
+
+def audit_derivation(
+    derivation: Derivation, gamma: dict[str, int], *, oracle_name: str = "phi"
+) -> AuditReport:
     """Check the safety facts a correct derivation must exhibit.
 
     Collected, not raised, so forged trees produce a report:
@@ -396,71 +483,87 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
       channels stay >= the loop tier;
     - seal-placement: the outer-sealing loop rule never occurs strictly
       inside another loop.
+
+    "Strictly inside" a loop node means below it with another subject, so
+    the lift steps over a loop do not constrain each other.  One preorder
+    walk carries the enclosing loops as running aggregates and checks each
+    node against those outside its own run of same-subject ancestors;
+    variable tiers come from a memo of each subject's least read and
+    greatest written tier.  Names and enclosing loops are listed only where
+    an aggregate shows a violation, one violation per name or per (loop,
+    node) pair, in node preorder.  Subjects print oracle calls with
+    `oracle_name`.
     """
     violations: list[AuditViolation] = []
+    memo: dict[int, tuple[float, float]] = {}
 
     def flag(kind: str, d: Derivation, detail: str) -> None:
-        violations.append(
-            AuditViolation(kind, f"{d.rule} {_subject_label(d.subject)}", detail)
-        )
+        where = f"{d.rule} {_subject_label(d.subject, oracle_name)}"
+        violations.append(AuditViolation(kind, where, detail))
 
-    nodes = list(derivation.walk())
-    for d in nodes:
-        if d.rule in EXPR_RULES:
-            for name in variables_of(d.subject):
-                if gamma.get(name, 0) < d.triple.tier:
-                    flag(
-                        "read-down",
-                        d,
-                        f"reads {name} at tier {gamma.get(name)} from tier"
-                        f" {d.triple.tier}",
-                    )
-        if d.rule in COMMAND_RULES and isinstance(d.subject, Cmd):
-            for name in assigned_vars(d.subject):
-                if gamma.get(name, 0) > d.triple.tier:
-                    flag(
-                        "write-up",
-                        d,
-                        f"assigns {name} at tier {gamma.get(name)} from tier"
-                        f" {d.triple.tier}",
-                    )
-            for kid in d.children:
-                if kid.rule in COMMAND_RULES and kid.triple.tier > d.triple.tier:
-                    flag(
-                        "shrink",
-                        d,
-                        f"subcommand tier {kid.triple.tier} above {d.triple.tier}",
-                    )
-
-    def strict_command_nodes(d: Derivation) -> Iterator[Derivation]:
-        # Proper subtree nodes whose subject is a command other than d's own
-        # (lift chains repeat the subject).
-        for kid in d.children:
-            for sub in kid.walk():
-                if sub.rule in COMMAND_RULES and sub.subject is not d.subject:
-                    yield sub
-
-    for d in nodes:
-        if isinstance(d.subject, While) and d.rule in COMMAND_RULES:
-            for sub in strict_command_nodes(d):
-                if sub.triple.inner > d.triple.tier:
-                    flag(
-                        "inner-cap",
-                        sub,
-                        f"inner channel {sub.triple.inner} above loop tier"
-                        f" {d.triple.tier}",
-                    )
-        if d.rule in (RULE_WHILE, RULE_WHILE_ZERO):
-            for sub in strict_command_nodes(d):
-                if sub.triple.outer < d.triple.tier:
-                    flag(
-                        "outer-floor",
-                        sub,
-                        f"outer channel {sub.triple.outer} below loop tier"
-                        f" {d.triple.tier}",
-                    )
-            for sub in d.walk():
-                if sub is not d and sub.rule == RULE_WHILE_ZERO:
-                    flag("seal-placement", sub, "sealing rule inside a loop")
+    # Each frame holds the aggregate over all enclosing nodes and over those
+    # outside the node's run of ancestors with the same subject.
+    stack = [(derivation, _NO_LOOPS, _NO_LOOPS)]
+    while stack:
+        d, above, outside = stack.pop()
+        rule, subject = d.rule, d.subject
+        tier, inner, outer = d.triple
+        if rule in EXPR_RULES:
+            access = memo.get(id(subject)) or _access_tiers(subject, gamma, memo)
+            if access[0] < tier:
+                for name in _names(subject, reads=True):
+                    if gamma.get(name, 0) < tier:
+                        flag(
+                            "read-down",
+                            d,
+                            f"reads {name} at tier {gamma.get(name)} from tier {tier}",
+                        )
+        elif rule in COMMAND_RULES:
+            if isinstance(subject, Cmd):
+                access = memo.get(id(subject)) or _access_tiers(subject, gamma, memo)
+                if access[1] > tier:
+                    for name in _names(subject, reads=False):
+                        if gamma.get(name, 0) > tier:
+                            flag(
+                                "write-up",
+                                d,
+                                f"assigns {name} at tier {gamma.get(name)} from"
+                                f" tier {tier}",
+                            )
+                for kid in d.children:
+                    if kid.rule in COMMAND_RULES and kid.triple.tier > tier:
+                        flag("shrink", d, f"subcommand tier {kid.triple.tier} above"
+                             f" {tier}")
+            cap, floor, _, chain = outside
+            if inner > cap or outer < floor:
+                while chain is not None:
+                    loop, chain = chain
+                    if loop.subject is subject:
+                        continue
+                    t = loop.triple.tier
+                    if inner > t and isinstance(loop.subject, While):
+                        flag("inner-cap", d, f"inner channel {inner} above loop"
+                             f" tier {t}")
+                    if outer < t and loop.rule in _LOOP_RULES:
+                        flag("outer-floor", d, f"outer channel {outer} below loop"
+                             f" tier {t}")
+            if rule == RULE_WHILE_ZERO:
+                for _ in range(above[2]):
+                    flag("seal-placement", d, "sealing rule inside a loop")
+        if not d.children:
+            continue
+        here = above
+        caps = rule in COMMAND_RULES and isinstance(subject, While)
+        loops = rule in _LOOP_RULES
+        if caps or loops:
+            cap, floor, seals, chain = above
+            here = (
+                min(cap, tier) if caps else cap,
+                max(floor, tier) if loops else floor,
+                seals + loops,
+                (d, chain),
+            )
+        for kid in reversed(d.children):
+            stack.append((kid, here, outside if kid.subject is subject else here))
 
     return AuditReport(ok=not violations, violations=tuple(violations))

@@ -139,7 +139,7 @@ def test_criterion_4_derivations_survive_audit(capfd):
             problems.append(f"{entry.name}: {report.violations}")
         audited += 1
     ok = not problems
-    announce(capfd, 4, ok, f"{audited} corpus derivations through all five audits")
+    announce(capfd, 4, ok, f"{audited} corpus derivations through all six audits")
     assert ok, problems
 
 

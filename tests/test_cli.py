@@ -222,6 +222,42 @@ def test_check_reaches_a_high_tier_by_a_long_lift_chain(tmp_path):
     assert main(["check", str(src), "--triple", "1200,0,0"]) == 0
 
 
+def test_check_writes_a_derivation_only_when_json_can_hold_it(tmp_path, capsys):
+    # 1200 lift steps nest too deep for json: one error line, no verdict and
+    # no file.  Five lift steps serialize as before.
+    src = tmp_path / "skip.tier"
+    src.write_text("skip\nreturn x\n")
+    deep, shallow = tmp_path / "deep.json", tmp_path / "shallow.json"
+    argv = ["check", str(src), "--emit-derivation"]
+    assert main(argv + [str(deep), "--triple", "1200,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert not deep.exists()
+
+    assert main(argv + [str(shallow), "--triple", "5,0,0"]) == 0
+    assert capsys.readouterr().out == "typable at the given judgement\n"
+    node, lifted = json.loads(shallow.read_text()), []
+    while node["rule"] == "lift":
+        lifted.append(node["triple"])
+        (node,) = node["children"]
+    assert lifted == [[t, 0, 0] for t in (5, 4, 3, 2, 1)]
+    assert node == {"rule": "skip", "subject": "skip", "triple": [0, 0, 0],
+                    "children": []}
+
+
+def test_infer_writes_no_file_when_the_derivation_is_too_deep(tmp_path, capsys):
+    src = tmp_path / "chain.tier"
+    src.write_text(";\n".join(["x := pred(x)"] * 600) + "\nreturn x\n")
+    cnf, tree = tmp_path / "chain.cnf", tmp_path / "chain.json"
+    assert main(["infer", str(src), "--emit-cnf", str(cnf),
+                 "--emit-derivation", str(tree)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert not cnf.exists() and not tree.exists()
+
+
 def test_derivations_label_calls_with_the_programs_oracle(tmp_path, capsys):
     src = tmp_path / "psi.tier"
     src.write_text("y := psi(x | z)\nreturn y\n")

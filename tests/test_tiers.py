@@ -2,14 +2,17 @@
 
 import dataclasses
 import itertools
+import sys
+import time
 
 import pytest
 from hypothesis import given
 
 from tierlang.bruteforce import typing_table
 from tierlang.operators import Positive, builtin_registry
-from tierlang.syntax import parse, variables_of
+from tierlang.syntax import Assign, OpApp, Seq, Var, While, parse, variables_of
 from tierlang.tiers import (
+    AuditViolation,
     Derivation,
     DerivationError,
     TypedTriple,
@@ -105,9 +108,71 @@ def test_audit_flags_read_below_write():
     expr = Derivation("var", p.body.value, TypedTriple(0, 1, 0))
     root = Derivation("assign", p.body, TypedTriple(0, 1, 0), (expr,))
     report = audit_derivation(root, {"x": 0, "y": 1})
-    assert not report.ok
-    kinds = {v.kind for v in report.violations}
-    assert "write-up" in kinds or "read-down" in kinds
+    assert report.violations == (
+        AuditViolation("write-up", "assign y := x", "assigns y at tier 1 from tier 0"),
+    )
+
+
+def _unary(expr, triple):
+    # a unary operator over one variable, e.g. gt0(x)
+    return Derivation("op", expr, triple, (Derivation("var", expr.args[0], triple),))
+
+
+def _loop(body_rule, body_triple, *, rule="while"):
+    # while (gt0(x)) { skip } at (1, 1, 1), its body judged as given
+    w = parse("while (gt0(x)) { skip } return x").body
+    body = Derivation(body_rule, w.body, body_triple)
+    return Derivation(rule, w, TypedTriple(1, 1, 1),
+                      (_unary(w.guard, TypedTriple(1, 1, 1)), body))
+
+
+def _read_down():
+    p = parse("y := x return y")
+    var = Derivation("var", p.body.value, TypedTriple(1, 1, 0))
+    return Derivation("assign", p.body, TypedTriple(0, 1, 0), (var,))
+
+
+def _shrink():
+    seq = parse("skip; skip return x").body
+    return Derivation("seq", seq, TypedTriple(0, 0, 0), (
+        Derivation("skip", seq.first, TypedTriple(1, 0, 0)),
+        Derivation("skip", seq.rest, TypedTriple(0, 0, 0)),
+    ))
+
+
+def _seal_inside_loop():
+    outer = parse("while (gt0(x)) { while (gt0(x)) { skip } } return x").body
+    inner = outer.body
+    one = TypedTriple(1, 1, 1)
+    inner_d = Derivation("while-zero", inner, one, (
+        _unary(inner.guard, one), Derivation("skip", inner.body, one)))
+    return Derivation("while", outer, one, (_unary(outer.guard, one), inner_d))
+
+
+@pytest.mark.parametrize("forge, gamma, violation", [
+    (_read_down, {"x": 0, "y": 0},
+     ("read-down", "var x", "reads x at tier 0 from tier 1")),
+    (_shrink, {"x": 0},
+     ("shrink", "seq seq", "subcommand tier 1 above 0")),
+    (lambda: _loop("skip", TypedTriple(1, 2, 1)), {"x": 1},
+     ("inner-cap", "skip skip", "inner channel 2 above loop tier 1")),
+    (lambda: _loop("skip", TypedTriple(1, 1, 0)), {"x": 1},
+     ("outer-floor", "skip skip", "outer channel 0 below loop tier 1")),
+    (_seal_inside_loop, {"x": 1},
+     ("seal-placement", "while-zero while (gt0(x))", "sealing rule inside a loop")),
+], ids=["read-down", "shrink", "inner-cap", "outer-floor", "seal-placement"])
+def test_audit_flags_each_lemma(forge, gamma, violation):
+    assert audit_derivation(forge(), gamma).violations == (AuditViolation(*violation),)
+
+
+def test_messages_print_the_programs_oracle():
+    p = parse("y := psi(x | z) return y")
+    gamma = {"x": 0, "y": 0, "z": 0}
+    d = check(p, gamma, (0, 1, 0))
+    with pytest.raises(DerivationError, match=r"assign node for y := psi\(x \| z\)"):
+        verify_derivation(_tamper(d), gamma, oracle_name="psi")
+    report = audit_derivation(d, {**gamma, "y": 1}, oracle_name="psi")
+    assert [v.where for v in report.violations] == ["assign y := psi(x | z)"]
 
 
 def test_lift_nodes_step_by_exactly_one():
@@ -135,6 +200,61 @@ def test_long_lift_chains_verify_and_audit():
     assert d is not None
     assert sum(1 for _ in d.walk()) == 3001
     assert audit_derivation(d, {"x": 0}).ok
+
+
+# Scale trees are built with loops: `check` would recurse on them in `_rules`.
+# Every node is judged at (1, 1, 1) under x at tier 1.
+ONE = TypedTriple(1, 1, 1)
+X = Var("x")
+
+
+def _decrement():
+    a = Assign("x", OpApp("pred", (X,)))
+    return a, Derivation("assign", a, ONE, (_unary(a.value, ONE),))
+
+
+def _while(body, body_d):
+    w = While(OpApp("gt0", (X,)), body)
+    return w, Derivation("while", w, ONE, (_unary(w.guard, ONE), body_d))
+
+
+def _chain(n):
+    # x := pred(x) alternating with while (gt0(x)) { x := pred(x) }
+    cmd, d = _while(*_decrement())
+    for i in range(n - 1):
+        first, first_d = _while(*_decrement()) if i % 2 else _decrement()
+        cmd = Seq(first, cmd)
+        d = Derivation("seq", cmd, ONE, (first_d, d))
+    return d
+
+
+def _nest(depth):
+    cmd, d = _decrement()
+    for _ in range(depth):
+        cmd, d = _while(cmd, d)
+    return d
+
+
+def _lifted_loop(k):
+    # k - 1 lift steps over one loop, all with inner channel k: a lift step
+    # is not strictly inside the lift steps above it
+    d = check(parse("while (gt0(x)) { x := pred(x) } return x"), {"x": 1}, (k, k, 0))
+    assert [n.rule for n in d.walk()][k - 2:k] == ["lift", "while-zero"]
+    return d
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _chain(10_000), lambda: _nest(2000),
+    lambda: _lifted_loop(3000), lambda: _lifted_loop(20_000),
+], ids=["chain-10000", "nest-2000", "lift-3000", "lift-20000"])
+def test_audit_is_one_pass_at_the_default_recursion_limit(build):
+    assert sys.getrecursionlimit() <= 1000
+    d = build()
+    verify_derivation(d, {"x": 1})
+    start = time.perf_counter()
+    report = audit_derivation(d, {"x": 1})
+    assert time.perf_counter() - start < 0.5
+    assert report.ok, report.violations[:3]
 
 
 def test_admissible_op_type_neutral_unary():
