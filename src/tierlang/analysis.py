@@ -202,8 +202,11 @@ def noninterference_test(
     Each trial draws one oracle and two initial stores that agree on every
     variable of tier >= level and differ arbitrarily below, runs both, and
     compares the final values of the high variables.  Any difference is a
-    counterexample and is reported, not raised.
+    counterexample and is reported, not raised.  A negative `trials`
+    raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"negative trial count {trials}")
     rng = random.Random(seed)
     names = variables_of(program)
     high = [x for x in names if gamma.get(x, 0) >= level]

@@ -12,8 +12,9 @@ default recursion limit a tree more than about 490 levels deep (such as a
 judgement reached by 500 lift steps) is too deep to serialize: the command
 then exits 2 with one `error:` line, prints no verdict and writes no file.
 
-Input bindings are var=VALUE where VALUE made of 0/1 only is taken as a
-literal word and any other digit string as a unary number (3 means 111).
+Input bindings are var=VALUE where var is a variable name, and VALUE made
+of 0/1 only is taken as a literal word and any other digit string as a
+unary number (3 means 111).
 Oracle behaviour comes from a JSON spec file; runs are otherwise fully
 deterministic.  TIER_SEED in the environment overrides --seed.
 """
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +40,15 @@ from .semantics import (
     TableOracle,
     run_program,
 )
-from .syntax import ParseError, has_oracle_call, parse, pretty, program_to_json
+from .syntax import (
+    KEYWORDS,
+    ParseError,
+    has_oracle_call,
+    parse,
+    pretty,
+    program_to_json,
+    variables_of,
+)
 from .tiers import audit_derivation, check
 
 EXIT_OK = 0
@@ -69,7 +79,12 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise ValueError(f"expected var=value, got {pair!r}")
         name, _, value = pair.partition("=")
-        out[name.strip()] = _parse_input_value(value.strip())
+        name = name.strip()
+        # A variable name as the lexer reads one: no program reads others.
+        if (not re.fullmatch(r"\w+", name) or name in KEYWORDS
+                or not (name[0].isalpha() or name[0] == "_")):
+            raise ValueError(f"input name {name!r} is not a variable name")
+        out[name] = _parse_input_value(value.strip())
     return out
 
 
@@ -96,6 +111,8 @@ def _parse_range(text: str) -> list[int]:
         raise ValueError(f"range must be lo:hi or lo:hi:step, got {text!r}")
     lo, hi = int(parts[0]), int(parts[1])
     step = int(parts[2]) if len(parts) == 3 else 1
+    if step <= 0 or lo > hi:
+        raise ValueError(f"range {text!r} needs lo <= hi and a positive step")
     return list(range(lo, hi + 1, step))
 
 
@@ -221,8 +238,6 @@ def cmd_analyze(args) -> int:
         scales = _parse_range(args.sweep)
         names = args.scale_vars.split(",") if args.scale_vars else None
         if names is None:
-            from .syntax import variables_of
-
             names = list(variables_of(program))
         oracle = _load_oracle(args.oracle)
         if oracle is None and has_oracle_call(program):

@@ -137,7 +137,6 @@ class _Graph:
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
-        self.labels: list[str] = []
         self.succ: list[list[int]] = []
         self.strict: dict[int, list[int]] = {}
         self.low: list[tuple[int, int]] = []
@@ -153,8 +152,7 @@ class _Graph:
         pins = len(self.low) + len(self.high)
         return (len(self.succ) + edges) * (self.cap + 1) + pins
 
-    def new_record(self, label: str) -> int:
-        self.labels.append(label)
+    def new_record(self) -> int:
         self.succ.append([])
         return len(self.succ) - 1
 
@@ -334,9 +332,9 @@ def _rules(
     the last row is the root command's."""
     if registry is None:
         registry = DEFAULT_REGISTRY
-    var_records = {x: b.new_record(f"var {x}") for x in variables_of(program)}
-    root_in = b.new_record("root inner channel")
-    root_out = b.new_record("root outer channel")
+    var_records = {x: b.new_record() for x in variables_of(program)}
+    root_in = b.new_record()
+    root_out = b.new_record()
     nodes: list[Row] = []
 
     def expr(e, in_ref: int, out_ref: int) -> int:
@@ -347,7 +345,7 @@ def _rules(
             rule, premises = RULE_VAR, 0
         elif isinstance(e, OpApp):
             spec = registry.lookup(e.op)
-            rec = b.new_record(f"op {e.op}")
+            rec = b.new_record()
             for arg in e.args:
                 arec = expr(arg, in_ref, out_ref)
                 b.leq(rec, arec)
@@ -358,7 +356,7 @@ def _rules(
                 b.lt(rec, in_ref)
             rule, premises = RULE_OP, len(e.args)
         elif isinstance(e, OracleCall):
-            rec = b.new_record("oracle")
+            rec = b.new_record()
             drec = expr(e.data, in_ref, out_ref)
             brec = expr(e.bound, in_ref, out_ref)
             b.eq(rec, drec)
@@ -373,28 +371,28 @@ def _rules(
 
     def cmd(c, in_ref: int, out_ref: int, nested: bool) -> int:
         if isinstance(c, Skip):
-            rec = b.new_record("skip")
+            rec = b.new_record()
             b.pin(rec, 0)
             rule, premises = RULE_SKIP, 0
         elif isinstance(c, Assign):
-            rec = b.new_record(f"assign {c.target}")
+            rec = b.new_record()
             b.eq(rec, var_records[c.target])
             erec = expr(c.value, in_ref, out_ref)
             b.leq(var_records[c.target], erec)
             rule, premises = RULE_ASSIGN, 1
         elif isinstance(c, Seq):
-            rec = b.new_record("seq")
+            rec = b.new_record()
             b.leq(cmd(c.first, in_ref, out_ref, nested), rec)
             b.leq(cmd(c.rest, in_ref, out_ref, nested), rec)
             rule, premises = RULE_SEQ, 2
         elif isinstance(c, If):
-            rec = b.new_record("if")
+            rec = b.new_record()
             b.eq(expr(c.guard, in_ref, out_ref), rec)
             b.leq(cmd(c.then, in_ref, out_ref, nested), rec)
             b.leq(cmd(c.orelse, in_ref, out_ref, nested), rec)
             rule, premises = RULE_IF, 3
         elif isinstance(c, While):
-            rec = b.new_record("while")
+            rec = b.new_record()
             b.pin_positive(rec)
             if nested or not outer_zero:
                 rule, bound_ref = RULE_WHILE, out_ref
@@ -441,17 +439,28 @@ _CHILD_TAGS = {
 }
 
 
-def _record_names(labels: list[str], nodes: list[Row]) -> list[str]:
-    """Legend names: each node record's label gets the node's path of child
-    tags from the root command, rebuilt from the node table."""
-    names = list(labels)
+def _record_names(count: int, records: tuple) -> list[str]:
+    """Legend names of `count` records, rebuilt from what `_rules` returned:
+    a variable's record is named after the variable, and a node's record
+    after its rule (with the operator or the assigned variable; both loop
+    rules give `while`) and its path of child tags from the root command."""
+    var_records, nodes, root_in, root_out = records
+    names = [""] * count
+    for x, rec in var_records.items():
+        names[rec] = f"var {x}"
+    names[root_in] = "root inner channel"
+    names[root_out] = "root outer channel"
     pending = ["root"]
     # Reversed, the table lists every node before its descendants, last
     # child first; so each node's path is on top of `pending` when it comes.
-    for rule, _, rec, _, _, premises in reversed(nodes):
+    for rule, node, rec, _, _, premises in reversed(nodes):
         path = pending.pop()
-        if rule != RULE_VAR:
-            names[rec] += f" at {path}"
+        if rule == RULE_OP:
+            names[rec] = f"op {node.op} at {path}"
+        elif rule == RULE_ASSIGN:
+            names[rec] = f"assign {node.target} at {path}"
+        elif rule != RULE_VAR:
+            names[rec] = f"{RULE_WHILE if rule == RULE_WHILE_ZERO else rule} at {path}"
         prefix = "" if path == "root" else path + "/"
         tags = _CHILD_TAGS.get(rule, range(premises))
         pending.extend(f"{prefix}{tag}" for tag in tags)
@@ -479,9 +488,8 @@ def encode(
     """
     t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
     graph = _Graph(t_max)
-    var_records, nodes, root_in, root_out = _rules(
-        program, graph, registry, outer_zero, gamma, triple
-    )
+    records = _rules(program, graph, registry, outer_zero, gamma, triple)
+    var_records, nodes, root_in, root_out = records
     return Encoding(
         program=program,
         t_max=t_max,
@@ -491,7 +499,7 @@ def encode(
         root_in=root_in,
         root_out=root_out,
         outer_zero=outer_zero,
-        record_names=_record_names(graph.labels, nodes),
+        record_names=_record_names(len(graph.succ), records),
     )
 
 

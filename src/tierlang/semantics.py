@@ -457,8 +457,11 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
     """Execute a program from the given input bindings.
 
     Unbound variables start empty.  ``fuel``, when set, bounds the step
-    count; exceeding it raises FuelExhausted.
+    count; exceeding it raises FuelExhausted, and a negative one raises
+    ValueError.
     """
+    if fuel is not None and fuel < 0:
+        raise ValueError(f"negative fuel {fuel}")
     if registry is None:
         registry = DEFAULT_REGISTRY
     store = Store(inputs or {})

@@ -15,6 +15,18 @@ The lexer is one regular expression walked with `finditer`.  Tokens are
 `(kind, text, offset)` tuples; a `ParseError` turns the offset into a line
 and column only when it is raised.  A `;` chain of any length is read with
 a loop, so only nesting costs recursion.
+
+`children` is the one statement of the tree's shape that queries use: it
+lists a node's sub-expressions and subcommands in source order.
+`program_size`, `variables_of`, `assigned_vars` and `has_oracle_call`, and
+the audit in `tiers`, walk it with an explicit stack, so they take
+programs of any length and depth.  `pretty_cmd` prints a `;` chain with a
+loop.  What still recurses: the parser and the printer on `if`/`while`
+nesting and on expressions, and the JSON export, which `json` itself would
+refuse past about 990 levels.  Outside this module, constraint generation
+in `inference` and the reference engines in `bruteforce` and `bulkcheck`
+recurse on the tree as the typing rules are written, and the compiler in
+`semantics` recurses on nesting.
 """
 
 from __future__ import annotations
@@ -117,6 +129,29 @@ class Program:
     oracle_name: str = "phi"
 
 
+def children(node: object) -> tuple:
+    """The sub-expressions and subcommands of a node, in source order.
+
+    A program's only child is its body; variables, skip and any object that
+    is not a node have none.
+    """
+    if isinstance(node, OpApp):
+        return node.args
+    if isinstance(node, Seq):
+        return (node.first, node.rest)
+    if isinstance(node, Assign):
+        return (node.value,)
+    if isinstance(node, OracleCall):
+        return (node.data, node.bound)
+    if isinstance(node, If):
+        return (node.guard, node.then, node.orelse)
+    if isinstance(node, While):
+        return (node.guard, node.body)
+    if isinstance(node, Program):
+        return (node.body,)
+    return ()
+
+
 def program_size(p: Program) -> int:
     """AST node count.
 
@@ -124,101 +159,54 @@ def program_size(p: Program) -> int:
     occurrence (including assignment targets and the return variable)
     counts one.  ``skip return x`` has size 2.
     """
-    return _cmd_size(p.body) + 1
-
-
-def _expr_size(e: Expr) -> int:
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, OpApp):
-        return 1 + sum(_expr_size(a) for a in e.args)
-    if isinstance(e, OracleCall):
-        return 1 + _expr_size(e.data) + _expr_size(e.bound)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _cmd_size(c: Cmd) -> int:
-    if isinstance(c, Skip):
-        return 1
-    if isinstance(c, Assign):
-        return 2 + _expr_size(c.value)
-    if isinstance(c, Seq):
-        return 1 + _cmd_size(c.first) + _cmd_size(c.rest)
-    if isinstance(c, If):
-        return 1 + _expr_size(c.guard) + _cmd_size(c.then) + _cmd_size(c.orelse)
-    if isinstance(c, While):
-        return 1 + _expr_size(c.guard) + _cmd_size(c.body)
-    raise TypeError(f"not a command: {c!r}")
+    size = 0
+    stack: list = [p]
+    while stack:
+        node = stack.pop()
+        # An assignment counts its target too; the program node counts as
+        # its return variable.
+        size += 2 if isinstance(node, Assign) else 1
+        stack.extend(children(node))
+    return size
 
 
 def variables_of(node: Program | Cmd | Expr) -> tuple[str, ...]:
     """All variable names, in order of first occurrence."""
     seen: dict[str, None] = {}
-
-    def walk_expr(e: Expr) -> None:
-        if isinstance(e, Var):
-            seen.setdefault(e.name)
-        elif isinstance(e, OpApp):
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, OracleCall):
-            walk_expr(e.data)
-            walk_expr(e.bound)
-
-    def walk_cmd(c: Cmd) -> None:
-        if isinstance(c, Assign):
-            seen.setdefault(c.target)
-            walk_expr(c.value)
-        elif isinstance(c, Seq):
-            walk_cmd(c.first)
-            walk_cmd(c.rest)
-        elif isinstance(c, If):
-            walk_expr(c.guard)
-            walk_cmd(c.then)
-            walk_cmd(c.orelse)
-        elif isinstance(c, While):
-            walk_expr(c.guard)
-            walk_cmd(c.body)
-
+    stack: list = [node]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, Var):
+            seen.setdefault(part.name)
+            continue
+        if isinstance(part, Assign):
+            seen.setdefault(part.target)
+        stack.extend(reversed(children(part)))
     if isinstance(node, Program):
-        walk_cmd(node.body)
         seen.setdefault(node.return_var)
-    elif isinstance(node, Cmd):
-        walk_cmd(node)
-    else:
-        walk_expr(node)
     return tuple(seen)
 
 
 def assigned_vars(c: Cmd) -> frozenset[str]:
     """Variables written by the command (assignment targets)."""
-    if isinstance(c, Assign):
-        return frozenset({c.target})
-    if isinstance(c, Seq):
-        return assigned_vars(c.first) | assigned_vars(c.rest)
-    if isinstance(c, If):
-        return assigned_vars(c.then) | assigned_vars(c.orelse)
-    if isinstance(c, While):
-        return assigned_vars(c.body)
-    return frozenset()
+    targets: set[str] = set()
+    stack: list = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assign):
+            targets.add(node.target)
+        else:
+            stack.extend(children(node))
+    return frozenset(targets)
 
 
 def has_oracle_call(node: Program | Cmd | Expr) -> bool:
-    if isinstance(node, Program):
-        return has_oracle_call(node.body)
-    if isinstance(node, OracleCall):
-        return True
-    if isinstance(node, OpApp):
-        return any(has_oracle_call(a) for a in node.args)
-    if isinstance(node, Seq):
-        return has_oracle_call(node.first) or has_oracle_call(node.rest)
-    if isinstance(node, Assign):
-        return has_oracle_call(node.value)
-    if isinstance(node, If):
-        return (has_oracle_call(node.guard) or has_oracle_call(node.then)
-                or has_oracle_call(node.orelse))
-    if isinstance(node, While):
-        return has_oracle_call(node.guard) or has_oracle_call(node.body)
+    stack: list = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, OracleCall):
+            return True
+        stack.extend(children(node))
     return False
 
 
@@ -451,8 +439,12 @@ def pretty_cmd(c: Cmd, indent: int = 0, oracle_name: str = "phi") -> str:
     if isinstance(c, Assign):
         return f"{pad}{c.target} := {pretty_expr(c.value, oracle_name)}"
     if isinstance(c, Seq):
-        return (f"{pretty_cmd(c.first, indent, oracle_name)};\n"
-                f"{pretty_cmd(c.rest, indent, oracle_name)}")
+        lines = []
+        while isinstance(c, Seq):
+            lines.append(pretty_cmd(c.first, indent, oracle_name))
+            c = c.rest
+        lines.append(pretty_cmd(c, indent, oracle_name))
+        return ";\n".join(lines)
     if isinstance(c, If):
         return (f"{pad}if ({pretty_expr(c.guard, oracle_name)}) {{\n"
                 f"{pretty_cmd(c.then, indent + 1, oracle_name)}\n"

@@ -42,7 +42,10 @@ from .syntax import (
     Skip,
     Var,
     While,
+    assigned_vars,
+    children,
     pretty_expr,
+    variables_of,
 )
 from .inference import (
     RULE_ASSIGN,
@@ -393,23 +396,6 @@ class AuditReport:
         }
 
 
-def _parts(node: object) -> tuple:
-    """The sub-expressions and subcommands of an AST node, in source order."""
-    if isinstance(node, OpApp):
-        return node.args
-    if isinstance(node, OracleCall):
-        return (node.data, node.bound)
-    if isinstance(node, Assign):
-        return (node.value,)
-    if isinstance(node, Seq):
-        return (node.first, node.rest)
-    if isinstance(node, If):
-        return (node.guard, node.then, node.orelse)
-    if isinstance(node, While):
-        return (node.guard, node.body)
-    return ()
-
-
 def _access_tiers(
     root: object, gamma: dict[str, int], memo: dict[int, tuple[float, float]]
 ) -> tuple[float, float]:
@@ -427,7 +413,7 @@ def _access_tiers(
         node = stack.pop()
         if id(node) not in memo:
             order.append(node)
-            stack.extend(_parts(node))
+            stack.extend(children(node))
     for node in reversed(order):
         if isinstance(node, Var):
             read, write = gamma.get(node.name, 0), -math.inf
@@ -436,7 +422,7 @@ def _access_tiers(
             read = min(write, memo[id(node.value)][0])
         else:
             read, write = math.inf, -math.inf
-            for part in _parts(node):
+            for part in children(node):
                 part_read, part_write = memo[id(part)]
                 if part_read < read:
                     read = part_read
@@ -444,21 +430,6 @@ def _access_tiers(
                     write = part_write
         memo[id(node)] = (read, write)
     return memo[id(root)]
-
-
-def _names(node: object, *, reads: bool) -> list[str]:
-    """The names read (with assignment targets) or only assigned in `node`,
-    in order of first occurrence."""
-    seen: dict[str, None] = {}
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Assign):
-            seen.setdefault(node.target)
-        elif reads and isinstance(node, Var):
-            seen.setdefault(node.name)
-        stack.extend(reversed(_parts(node)))
-    return list(seen)
 
 
 # What a derivation node knows of the loops enclosing it: the least tier of
@@ -491,7 +462,8 @@ def audit_derivation(
     variable tiers come from a memo of each subject's least read and
     greatest written tier.  Names and enclosing loops are listed only where
     an aggregate shows a violation, one violation per name or per (loop,
-    node) pair, in node preorder.  Subjects print oracle calls with
+    node) pair, in node preorder; a node's names come in the order
+    `variables_of` lists them.  Subjects print oracle calls with
     `oracle_name`.
     """
     violations: list[AuditViolation] = []
@@ -511,7 +483,7 @@ def audit_derivation(
         if rule in EXPR_RULES:
             access = memo.get(id(subject)) or _access_tiers(subject, gamma, memo)
             if access[0] < tier:
-                for name in _names(subject, reads=True):
+                for name in variables_of(subject):
                     if gamma.get(name, 0) < tier:
                         flag(
                             "read-down",
@@ -522,8 +494,9 @@ def audit_derivation(
             if isinstance(subject, Cmd):
                 access = memo.get(id(subject)) or _access_tiers(subject, gamma, memo)
                 if access[1] > tier:
-                    for name in _names(subject, reads=False):
-                        if gamma.get(name, 0) > tier:
+                    written = assigned_vars(subject)
+                    for name in variables_of(subject):
+                        if name in written and gamma.get(name, 0) > tier:
                             flag(
                                 "write-up",
                                 d,

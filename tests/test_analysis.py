@@ -124,6 +124,19 @@ def test_noninterference_uses_one_oracle_for_both_runs():
     assert report.ok
 
 
+def test_negative_trial_count_is_rejected():
+    with pytest.raises(ValueError, match="negative trial count -3"):
+        noninterference_test(ADD, {"x": 1, "y": 0}, level=1, trials=-3)
+    assert noninterference_test(ADD, {"x": 1, "y": 0}, level=1, trials=0).ok
+
+
+def test_negative_fuel_is_rejected_by_sweeps_and_trials():
+    with pytest.raises(ValueError, match="negative fuel"):
+        sweep(ADD, unary_inputs("x"), None, [1, 2], fuel=-1)
+    with pytest.raises(ValueError, match="negative fuel"):
+        noninterference_test(ADD, {"x": 1, "y": 0}, level=1, trials=1, fuel=-1)
+
+
 def test_noninterference_report_json():
     doc = noninterference_test(ADD, {"x": 1, "y": 0}, 1, trials=10).to_json()
     assert doc["ok"] is True and doc["trials"] == 10

@@ -10,6 +10,7 @@ import pytest
 import tierlang
 from tierlang.cli import main
 from tierlang.inference import ClauseSet, solve_2sat
+from tierlang.syntax import Seq, parse
 
 ADD_SRC = "while (gt0(x)) { x := pred(x); y := suc1(y) }\nreturn y\n"
 
@@ -58,6 +59,24 @@ def test_run_accepts_raw_words(add_file, capsys):
 def test_run_fuel_exhaustion(add_file, capsys):
     assert main(["run", add_file, "--input", "x=9", "--fuel", "10"]) == 4
     assert "fuel exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--input", "x=3", "--fuel", "-1"],
+    ["analyze", "--sweep", "1:4", "--fuel", "-1"],
+    ["analyze", "--ni", "--trials", "-3"],
+    ["analyze", "--sweep", "1:4:-1"],
+    ["analyze", "--sweep", "4:1"],
+    ["run", "--input", "=3"],
+    ["run", "--input", "x y=3"],
+    ["run", "--input", "while=3"],
+], ids=["negative-fuel", "negative-sweep-fuel", "negative-trials", "negative-step",
+        "empty-range", "empty-name", "spaced-name", "keyword-name"])
+def test_bad_numbers_and_names_are_usage_errors(argv, add_file, capsys):
+    assert main([argv[0], add_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
 
 
 def test_run_stuck_guard(tmp_path, capsys):
@@ -190,18 +209,40 @@ def test_malformed_oracle_spec_is_a_usage_error(spec, add_file, tmp_path, capsys
     _assert_one_error_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["parse", "infer"])
-@pytest.mark.parametrize("source", [
-    ";\n".join(["x := suc1(x)"] * 3000) + "\nreturn x\n",
-    "while (gt0(x)) {\n" * 1000 + "x := pred(x)" + "\n}" * 1000 + "\nreturn x\n",
-], ids=["chain-3000", "nest-1000"])
-def test_too_long_or_deep_program_is_a_usage_error(command, source, tmp_path, capsys):
+CHAIN_3000 = ";\n".join(["x := suc1(x)"] * 3000) + "\nreturn x\n"
+NEST_1000 = "while (gt0(x)) {\n" * 1000 + "x := pred(x)" + "\n}" * 1000 + "\nreturn x\n"
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["infer"], CHAIN_3000),
+    (["parse", "--format", "json"], CHAIN_3000),
+    (["infer"], NEST_1000),
+    (["parse"], NEST_1000),
+], ids=["chain-3000-infer", "chain-3000-parse-json", "nest-1000-infer",
+        "nest-1000-parse"])
+def test_too_long_or_deep_program_is_a_usage_error(argv, source, tmp_path, capsys):
     path = tmp_path / "big.tier"
     path.write_text(source)
-    assert main([command, str(path)]) == 2
+    assert main([argv[0], str(path), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     _assert_one_error_line(captured.err)
+
+
+def test_parse_prints_a_long_chain_that_parses_back(tmp_path, capsys):
+    path = tmp_path / "big.tier"
+    path.write_text(CHAIN_3000)
+    assert main(["parse", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # Dataclass equality recurses along the chain, so compare link by link.
+    a, b = parse(captured.out).body, parse(CHAIN_3000).body
+    links = 0
+    while isinstance(a, Seq) and isinstance(b, Seq):
+        assert a.first == b.first
+        a, b, links = a.rest, b.rest, links + 1
+    assert a == b
+    assert links == 2999
 
 
 def test_check_judgement(add_file, capsys):

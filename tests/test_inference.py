@@ -227,6 +227,21 @@ def test_strict_and_plain_edges_to_one_record_both_expand():
     assert clauses.count((-bit(loop, 1), bit(call, 1))) == 1  # plain
 
 
+@pytest.mark.parametrize("outer_zero", [True, False])
+def test_legend_names_records_by_variable_rule_and_path(outer_zero):
+    # Both loop rules are named `while`; the top-level loop here is sealed
+    # only in the outer-zero mode.
+    p = parse("x := phi(x | y); if (gt0(y)) { skip } else"
+              " { while (gt0(x)) { x := pred(x) } } return y")
+    assert encode(p, outer_zero=outer_zero).record_names == [
+        "var x", "var y", "root inner channel", "root outer channel",
+        "seq at root", "assign x at first", "oracle at first/value", "if at rest",
+        "op gt0 at rest/guard", "skip at rest/then", "while at rest/else",
+        "op gt0 at rest/else/guard", "assign x at rest/else/body",
+        "op pred at rest/else/body/value",
+    ]
+
+
 def test_clause_growth_is_quadratic_at_worst(corpus):
     # clause count stays within 50 * n^2 * t_max across the whole corpus
     for entry in corpus.values():

@@ -164,6 +164,13 @@ def test_fuel_exhaustion():
     assert res.trace.steps == 26
 
 
+def test_negative_fuel_is_rejected_before_the_run():
+    with pytest.raises(ValueError, match="negative fuel -1"):
+        run_program(ADD, {"x": "11"}, fuel=-1)
+    with pytest.raises(FuelExhausted):
+        run_program(ADD, {"x": "11"}, fuel=0)
+
+
 def test_runs_are_deterministic():
     first = run_program(ADD, {"x": "1111", "y": "10"})
     second = run_program(ADD, {"x": "1111", "y": "10"})
