@@ -30,7 +30,6 @@ from .syntax import (
     Skip,
     Var,
     While,
-    program_size,
     variables_of,
 )
 

@@ -225,6 +225,13 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     program = _read_program(args.source)
+    names = list(variables_of(program))
+    if args.scale_vars:
+        scaled = args.scale_vars.split(",")
+        unknown = [name for name in scaled if name not in names]
+        if unknown:
+            raise ValueError(f"--scale-vars: the program has no variable {unknown[0]!r}")
+        names = scaled
     seed = _seed(args)
     result = infer(program, t_max=args.max_tier, with_derivation=False)
     if result is None:
@@ -236,9 +243,6 @@ def cmd_analyze(args) -> int:
     status = EXIT_OK
     if args.sweep:
         scales = _parse_range(args.sweep)
-        names = args.scale_vars.split(",") if args.scale_vars else None
-        if names is None:
-            names = list(variables_of(program))
         oracle = _load_oracle(args.oracle)
         if oracle is None and has_oracle_call(program):
             oracle = analysis.random_table_oracle(random.Random(seed))

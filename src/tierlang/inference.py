@@ -62,6 +62,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    part_names,
     program_size,
     variables_of,
 )
@@ -427,23 +428,11 @@ def _rules(
     return var_records, nodes, root_in, root_out
 
 
-# Child tags of the DIMACS legend's node paths; operator arguments are
-# tagged by position.
-_CHILD_TAGS = {
-    RULE_ORACLE: ("data", "bound"),
-    RULE_ASSIGN: ("value",),
-    RULE_SEQ: ("first", "rest"),
-    RULE_IF: ("guard", "then", "else"),
-    RULE_WHILE: ("guard", "body"),
-    RULE_WHILE_ZERO: ("guard", "body"),
-}
-
-
 def _record_names(count: int, records: tuple) -> list[str]:
     """Legend names of `count` records, rebuilt from what `_rules` returned:
     a variable's record is named after the variable, and a node's record
     after its rule (with the operator or the assigned variable; both loop
-    rules give `while`) and its path of child tags from the root command."""
+    rules give `while`) and its path of part names from the root command."""
     var_records, nodes, root_in, root_out = records
     names = [""] * count
     for x, rec in var_records.items():
@@ -453,7 +442,7 @@ def _record_names(count: int, records: tuple) -> list[str]:
     pending = ["root"]
     # Reversed, the table lists every node before its descendants, last
     # child first; so each node's path is on top of `pending` when it comes.
-    for rule, node, rec, _, _, premises in reversed(nodes):
+    for rule, node, rec, _, _, _ in reversed(nodes):
         path = pending.pop()
         if rule == RULE_OP:
             names[rec] = f"op {node.op} at {path}"
@@ -462,8 +451,7 @@ def _record_names(count: int, records: tuple) -> list[str]:
         elif rule != RULE_VAR:
             names[rec] = f"{RULE_WHILE if rule == RULE_WHILE_ZERO else rule} at {path}"
         prefix = "" if path == "root" else path + "/"
-        tags = _CHILD_TAGS.get(rule, range(premises))
-        pending.extend(f"{prefix}{tag}" for tag in tags)
+        pending.extend(prefix + name for name in part_names(node))
     return names
 
 

@@ -16,23 +16,29 @@ The lexer is one regular expression walked with `finditer`.  Tokens are
 and column only when it is raised.  A `;` chain of any length is read with
 a loop, so only nesting costs recursion.
 
-`children` is the one statement of the tree's shape that queries use: it
-lists a node's sub-expressions and subcommands in source order.
-`program_size`, `variables_of`, `assigned_vars` and `has_oracle_call`, and
-the audit in `tiers`, walk it with an explicit stack, so they take
-programs of any length and depth.  `pretty_cmd` prints a `;` chain with a
-loop.  What still recurses: the parser and the printer on `if`/`while`
-nesting and on expressions, and the JSON export, which `json` itself would
-refuse past about 990 levels.  Outside this module, constraint generation
-in `inference` and the reference engines in `bruteforce` and `bulkcheck`
-recurse on the tree as the typing rules are written, and the compiler in
-`semantics` recurses on nesting.
+`_PARTS` is the one statement of the tree's shape.  For each node class it
+gives the node's parts (its sub-expressions and subcommands) in source
+order, their names as the JSON export and the DIMACS legend spell them,
+and the fields that are not parts.  `children` and `part_names` read it.
+`program_size`, `variables_of`, `assigned_vars`, `has_oracle_call`,
+structural `==` and `hash` (node classes, own fields and parts), and the
+audit and derivation check in `tiers`, walk it with an explicit stack, so
+they take programs of any length and depth.  `pretty_cmd` prints a `;`
+chain with a loop.  What still recurses: the parser and the printer on
+`if`/`while` nesting and on expressions, the dataclass `repr`, and the
+JSON export, which `json` itself would refuse past about 990 levels.
+Outside this module, constraint generation in `inference` and the
+reference engines in `bruteforce` and `bulkcheck` recurse on the tree as
+the typing rules are written, and the compiler in `semantics` recurses on
+nesting.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter, eq
+from typing import Any, Callable, Iterator, NamedTuple
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "return"})
 
@@ -61,23 +67,36 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Expr:
+class _Node:
+    """Structural equality and hashing over `_preorder_keys`, without
+    recursion.  With their part counts the keys are a prefix code, so two
+    trees whose keys agree until one of them ends are the same tree."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(eq, _preorder_keys(self), _preorder_keys(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder_keys(self)))
+
+
+class Expr(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpApp(Expr):
     op: str
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleCall(Expr):
     """Oracle query phi(data | bound): data truncate-padded to |bound|."""
 
@@ -85,23 +104,22 @@ class OracleCall(Expr):
     bound: Expr
 
 
-@dataclass(frozen=True)
-class Cmd:
+class Cmd(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Skip(Cmd):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assign(Cmd):
     target: str
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Seq(Cmd):
     """Right-associated sequencing; `first` is never itself a Seq."""
 
@@ -109,24 +127,45 @@ class Seq(Cmd):
     rest: Cmd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class If(Cmd):
     guard: Expr
     then: Cmd
     orelse: Cmd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class While(Cmd):
     guard: Expr
     body: Cmd
 
 
-@dataclass(frozen=True)
-class Program:
+@dataclass(frozen=True, eq=False)
+class Program(_Node):
     body: Cmd
     return_var: str
     oracle_name: str = "phi"
+
+
+class _Shape(NamedTuple):
+    parts: Callable[[Any], tuple]  # a node's parts, in source order
+    names: tuple[str, ...] | None  # their names; None: by position
+    own: tuple[str, ...]  # the fields that are not parts
+
+
+# Parts are named as the JSON export and the DIMACS legend name them; an
+# operator application's parts are its arguments.
+_PARTS: dict[type, _Shape] = {
+    Var: _Shape(lambda node: (), (), ("name",)),
+    OpApp: _Shape(attrgetter("args"), None, ("op",)),
+    OracleCall: _Shape(attrgetter("data", "bound"), ("data", "bound"), ()),
+    Skip: _Shape(lambda node: (), (), ()),
+    Assign: _Shape(lambda node: (node.value,), ("value",), ("target",)),
+    Seq: _Shape(attrgetter("first", "rest"), ("first", "rest"), ()),
+    If: _Shape(attrgetter("guard", "then", "orelse"), ("guard", "then", "else"), ()),
+    While: _Shape(attrgetter("guard", "body"), ("guard", "body"), ()),
+    Program: _Shape(lambda node: (node.body,), ("body",), ("return_var", "oracle_name")),
+}
 
 
 def children(node: object) -> tuple:
@@ -135,21 +174,26 @@ def children(node: object) -> tuple:
     A program's only child is its body; variables, skip and any object that
     is not a node have none.
     """
-    if isinstance(node, OpApp):
-        return node.args
-    if isinstance(node, Seq):
-        return (node.first, node.rest)
-    if isinstance(node, Assign):
-        return (node.value,)
-    if isinstance(node, OracleCall):
-        return (node.data, node.bound)
-    if isinstance(node, If):
-        return (node.guard, node.then, node.orelse)
-    if isinstance(node, While):
-        return (node.guard, node.body)
-    if isinstance(node, Program):
-        return (node.body,)
-    return ()
+    shape = _PARTS.get(type(node))
+    return shape.parts(node) if shape else ()
+
+
+def part_names(node: object) -> tuple[str, ...]:
+    """The names of a node's parts, in the order `children` lists them."""
+    names = _PARTS[type(node)].names
+    return tuple(map(str, range(len(node.args)))) if names is None else names
+
+
+def _preorder_keys(node: _Node) -> Iterator[tuple]:
+    """The class, part count and own fields of each node of a tree, in
+    preorder (last part first)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        shape = _PARTS[type(node)]
+        parts = shape.parts(node)
+        yield (type(node), len(parts), *(getattr(node, f) for f in shape.own))
+        stack.extend(parts)
 
 
 def program_size(p: Program) -> int:

@@ -8,7 +8,8 @@ solution's node table into an explicit derivation tree whose every node
 names the rule applied: each row's triple is the solved tiers of its three
 records, and lift steps raise command premises to the tier of their rule.
 All rule choices are made once, by the constraint generator.  The
-derivation is then re-validated rule by rule, independently of the solver.
+derivation is then re-validated independently of the solver, by structural
+checks common to all rules and each rule's tier side conditions.
 
 `audit_derivation` checks the six safety facts a valid derivation is
 supposed to guarantee: expressions never read below their own tier, commands
@@ -74,10 +75,14 @@ class TypedTriple(NamedTuple):
     outer: int
 
 
-COMMAND_RULES = frozenset(
-    {RULE_SKIP, RULE_ASSIGN, RULE_SEQ, RULE_IF, RULE_WHILE, RULE_WHILE_ZERO, RULE_LIFT}
-)
-EXPR_RULES = frozenset({RULE_VAR, RULE_OP, RULE_ORACLE})
+# The class of subject each rule types.
+_SUBJECT_CLASS = {
+    RULE_VAR: Var, RULE_OP: OpApp, RULE_ORACLE: OracleCall, RULE_SKIP: Skip,
+    RULE_ASSIGN: Assign, RULE_SEQ: Seq, RULE_IF: If, RULE_WHILE: While,
+    RULE_WHILE_ZERO: While, RULE_LIFT: Cmd,
+}
+COMMAND_RULES = frozenset(r for r, cls in _SUBJECT_CLASS.items() if issubclass(cls, Cmd))
+EXPR_RULES = frozenset(_SUBJECT_CLASS) - COMMAND_RULES
 _LOOP_RULES = frozenset({RULE_WHILE, RULE_WHILE_ZERO})
 
 
@@ -238,6 +243,10 @@ class DerivationError(AssertionError):
     """A derivation node violates its rule's side conditions."""
 
 
+# Rules whose premises carry the conclusion's two channels.
+_SAME_CHANNELS = frozenset({RULE_OP, RULE_ORACLE, RULE_ASSIGN})
+
+
 def verify_derivation(
     derivation: Derivation,
     gamma: dict[str, int],
@@ -247,8 +256,13 @@ def verify_derivation(
 ) -> None:
     """Re-check every rule application locally; raise DerivationError if any
     node is malformed.  Independent of the solver: only the tree, the
-    environment and the operator table are consulted.  Messages print
-    oracle calls with `oracle_name`."""
+    environment and the operator table are consulted.  Every node passes
+    the same structural checks: the rule types the subject's class, the
+    premises judge the subject's parts as `syntax.children` lists them, by
+    identity and in order (a lift step's premise judges the subject), and
+    operator, oracle and assignment premises carry the conclusion's
+    channels.  What is left per rule is the paper's tier side conditions.
+    Messages print oracle calls with `oracle_name`."""
     if registry is None:
         registry = DEFAULT_REGISTRY
 
@@ -257,121 +271,69 @@ def verify_derivation(
         raise DerivationError(f"{d.rule} node for {label} at {d.triple}: {why}")
 
     for d in derivation.walk():
+        rule, subject, kids = d.rule, d.subject, d.children
         t, inner, outer = d.triple
         if min(d.triple) < 0:
             fail(d, "negative tier")
-        if d.rule == RULE_VAR:
-            if not isinstance(d.subject, Var):
-                fail(d, "subject is not a variable")
-            if d.children:
-                fail(d, "leaf rule with premises")
-            if gamma.get(d.subject.name) != t:
-                fail(d, f"environment gives {gamma.get(d.subject.name)}")
-        elif d.rule == RULE_OP:
-            if not isinstance(d.subject, OpApp):
-                fail(d, "subject is not an operator application")
-            spec = registry.lookup(d.subject.op)
-            if len(d.children) != spec.arity:
-                fail(d, "premise count differs from arity")
-            for kid, arg in zip(d.children, d.subject.args):
-                if kid.subject is not arg:
-                    fail(d, "premise subject mismatch")
+        cls = _SUBJECT_CLASS.get(rule)
+        if cls is None:
+            fail(d, f"unknown rule {rule!r}")
+        if not isinstance(subject, cls):
+            fail(d, f"the rule types {cls.__name__} subjects")
+        parts = (subject,) if rule == RULE_LIFT else children(subject)
+        if len(kids) != len(parts):
+            fail(d, "premises do not judge the subject's parts")
+        for kid, part in zip(kids, parts):
+            if kid.subject is not part:
+                fail(d, "premises do not judge the subject's parts")
+        if rule in _SAME_CHANNELS:
+            for kid in kids:
                 if (kid.triple.inner, kid.triple.outer) != (inner, outer):
                     fail(d, "premise channels differ")
-            arg_tiers = tuple(kid.triple.tier for kid in d.children)
+        if rule == RULE_VAR:
+            if gamma.get(subject.name) != t:
+                fail(d, f"environment gives {gamma.get(subject.name)}")
+        elif rule == RULE_OP:
+            spec = registry.lookup(subject.op)
+            arg_tiers = tuple(kid.triple.tier for kid in kids)
             if not admissible_op_type(spec, arg_tiers, t, inner):
                 fail(d, f"type {arg_tiers} -> {t} not admissible at inner {inner}")
-        elif d.rule == RULE_ORACLE:
-            if not isinstance(d.subject, OracleCall):
-                fail(d, "subject is not an oracle call")
-            if len(d.children) != 2:
-                fail(d, "oracle rule needs data and bound premises")
-            data, bound = d.children
-            if data.subject is not d.subject.data or bound.subject is not d.subject.bound:
-                fail(d, "premise subject mismatch")
-            for kid in d.children:
-                if (kid.triple.inner, kid.triple.outer) != (inner, outer):
-                    fail(d, "premise channels differ")
+        elif rule == RULE_ORACLE:
+            data, bound = kids
             if data.triple.tier != t:
                 fail(d, "data tier differs from call tier")
             if bound.triple.tier != outer:
                 fail(d, "bound tier differs from outer channel")
             if not (t < inner and t <= outer):
                 fail(d, "call tier must sit below inner and at most outer")
-        elif d.rule == RULE_SKIP:
-            if not isinstance(d.subject, Skip) or d.children:
-                fail(d, "malformed skip node")
+        elif rule == RULE_SKIP:
             if t != 0:
                 fail(d, "skip introduces tier 0")
-        elif d.rule == RULE_ASSIGN:
-            if not isinstance(d.subject, Assign) or len(d.children) != 1:
-                fail(d, "malformed assignment node")
-            (value,) = d.children
-            if value.subject is not d.subject.value:
-                fail(d, "premise subject mismatch")
-            if (value.triple.inner, value.triple.outer) != (inner, outer):
-                fail(d, "premise channels differ")
-            if gamma.get(d.subject.target) != t:
+        elif rule == RULE_ASSIGN:
+            if gamma.get(subject.target) != t:
                 fail(d, "tier differs from assigned variable's")
-            if t > value.triple.tier:
+            if t > kids[0].triple.tier:
                 fail(d, "assigned variable outranks the value")
-        elif d.rule == RULE_SEQ:
-            if not isinstance(d.subject, Seq) or len(d.children) != 2:
-                fail(d, "malformed sequence node")
-            first, rest = d.children
-            if first.subject is not d.subject.first or rest.subject is not d.subject.rest:
-                fail(d, "premise subject mismatch")
-            for kid in d.children:
-                if kid.triple != d.triple:
-                    fail(d, "sequence premises must share the conclusion triple")
-        elif d.rule == RULE_IF:
-            if not isinstance(d.subject, If) or len(d.children) != 3:
-                fail(d, "malformed conditional node")
-            guard, then, orelse = d.children
-            if (
-                guard.subject is not d.subject.guard
-                or then.subject is not d.subject.then
-                or orelse.subject is not d.subject.orelse
-            ):
-                fail(d, "premise subject mismatch")
-            if guard.triple != d.triple:
-                fail(d, "guard must carry the conclusion triple")
-            if then.triple != d.triple or orelse.triple != d.triple:
-                fail(d, "branches must carry the conclusion triple")
-        elif d.rule in (RULE_WHILE, RULE_WHILE_ZERO):
-            if not isinstance(d.subject, While) or len(d.children) != 2:
-                fail(d, "malformed loop node")
-            guard, body = d.children
-            if guard.subject is not d.subject.guard or body.subject is not d.subject.body:
-                fail(d, "premise subject mismatch")
+        elif rule in (RULE_SEQ, RULE_IF):
+            if any(kid.triple != d.triple for kid in kids):
+                fail(d, "premises must carry the conclusion triple")
+        elif rule in _LOOP_RULES:
+            guard, body = kids
             if t < 1:
                 fail(d, "loop tier must be at least 1")
-            if d.rule == RULE_WHILE:
-                if t > outer:
-                    fail(d, "loop tier exceeds outer channel")
-                if guard.triple != TypedTriple(t, inner, outer):
-                    fail(d, "guard triple mismatch")
-                if body.triple != TypedTriple(t, t, outer):
-                    fail(d, "body triple mismatch")
-            else:
-                if outer != 0:
-                    fail(d, "sealing rule concludes outer tier 0")
-                if guard.triple != TypedTriple(t, inner, t):
-                    fail(d, "guard triple mismatch")
-                if body.triple != TypedTriple(t, t, t):
-                    fail(d, "body triple mismatch")
-        elif d.rule == RULE_LIFT:
-            if len(d.children) != 1:
-                fail(d, "lift takes one premise")
-            (kid,) = d.children
-            if kid.subject is not d.subject:
-                fail(d, "lift must keep its subject")
-            if kid.triple != TypedTriple(t - 1, inner, outer):
+            if rule == RULE_WHILE and t > outer:
+                fail(d, "loop tier exceeds outer channel")
+            if rule == RULE_WHILE_ZERO and outer != 0:
+                fail(d, "sealing rule concludes outer tier 0")
+            # The sealing rule bounds the oracle channel inside by t.
+            bound = outer if rule == RULE_WHILE else t
+            if guard.triple != (t, inner, bound):
+                fail(d, "guard triple mismatch")
+            if body.triple != (t, t, bound):
+                fail(d, "body triple mismatch")
+        elif rule == RULE_LIFT:
+            if kids[0].triple != (t - 1, inner, outer):
                 fail(d, "lift raises the tier by exactly one")
-            if not isinstance(d.subject, Cmd):
-                fail(d, "only commands can be lifted")
-        else:
-            fail(d, f"unknown rule {d.rule!r}")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 
 These are the walkers `tierlang.syntax` had before `program_size`,
 `variables_of`, `assigned_vars` and `has_oracle_call` became loops over
-`syntax.children`, and the printer of `;` chains before it became a loop.
+`syntax.children`, the printer of `;` chains before it became a loop, and
+`tree_key`, the comparison that the dataclass-generated `__eq__` made before
+structural equality became a loop.
 Each recurses once per nesting level and once per chain link, so they only
 take inputs within the recursion limit.  The tests require the iterative
 walkers and `syntax.pretty` to give the same results on every program.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from tierlang.syntax import (
     Assign,
@@ -155,3 +159,17 @@ def pretty_cmd(c: Cmd, indent: int = 0, oracle_name: str = "phi") -> str:
 
 def pretty(p: Program) -> str:
     return f"{pretty_cmd(p.body, 0, p.oracle_name)}\nreturn {p.return_var}\n"
+
+
+def tree_key(node) -> tuple:
+    """A node as nested tuples of its class and field values; two trees are
+    equal exactly when their keys are."""
+    values = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, tuple):
+            value = tuple(map(tree_key, value))
+        elif isinstance(value, (Expr, Cmd)):
+            value = tree_key(value)
+        values.append(value)
+    return (type(node), *values)

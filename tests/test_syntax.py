@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tierlang import syntax
 from tierlang.syntax import (
     Assign,
     If,
@@ -17,10 +18,12 @@ from tierlang.syntax import (
     While,
     assigned_vars,
     cmd_to_json,
+    expr_to_json,
     has_oracle_call,
     literal_op_name,
     literal_word,
     parse,
+    part_names,
     pretty,
     program_size,
     program_to_json,
@@ -220,3 +223,41 @@ def test_pretty_prints_literal_sugar():
 def test_comments_are_ignored():
     p = parse("# doubles nothing\nx := 1  # trailing\nreturn x")
     assert p.body == Assign("x", OpApp(literal_op_name("1")))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_node_class_lists_its_parts():
+    # A class missing from the table would have no children and no parts.
+    classes = {*_subclasses(syntax.Expr), *_subclasses(syntax.Cmd), Program}
+    assert classes == {Var, OpApp, OracleCall, Skip, Assign, Seq, If, While, Program}
+    assert classes <= set(syntax._PARTS)
+
+
+def test_part_names_are_the_json_exports_keys():
+    p = parse("if (eq(x, phi(x | y))) { x := pred(x); skip } "
+              "else { while (gt0(x)) { skip } } return x")
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        stack.extend(syntax.children(node))
+        if isinstance(node, OpApp):
+            assert part_names(node) == tuple(map(str, range(len(node.args))))
+            continue
+        to_json = (program_to_json if isinstance(node, Program)
+                   else cmd_to_json if isinstance(node, syntax.Cmd) else expr_to_json)
+        doc = to_json(node)
+        assert part_names(node) == tuple(k for k, v in doc.items() if isinstance(v, dict))
+
+
+def test_equality_tells_classes_and_part_counts_apart():
+    x, skip = Var("x"), Skip()
+    assert OpApp("eq", (x, x)) != OpApp("eq", (x,))
+    assert OpApp("eq", (x,)) != OpApp("eq", (x, x))
+    assert Program(Seq(skip, skip), "x") != Program(While(skip, skip), "x")
+    assert hash(Program(Seq(skip, skip), "x")) == hash(Program(Seq(Skip(), skip), "x"))
+    assert x != "x" and x != skip

@@ -1,5 +1,6 @@
 """Derivation construction, verification and safety audits."""
 
+import copy
 import dataclasses
 import itertools
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given
 
 from tierlang.bruteforce import typing_table
 from tierlang.operators import Positive, builtin_registry
-from tierlang.syntax import Assign, OpApp, Seq, Var, While, parse, variables_of
+from tierlang.syntax import Assign, OpApp, Seq, Skip, Var, While, parse, variables_of
 from tierlang.tiers import (
     AuditViolation,
     Derivation,
@@ -89,6 +90,56 @@ def test_verify_rejects_mislabelled_rule():
     with pytest.raises(DerivationError):
         verify_derivation(dataclasses.replace(d, rule="skip"),
                           {"x": 1, "y": 0})
+
+
+# Every node of this derivation is judged at (0, 0, 0) under x and y at
+# tier 0, so premises can be swapped without breaking a tier condition.
+FORGE = "if (eq(x, y)) { x := pred(x); y := x } else { skip } return y"
+ZERO = TypedTriple(0, 0, 0)
+
+
+def _swap_in(d: Derivation, old: Derivation, new: Derivation) -> Derivation:
+    if d is old:
+        return new
+    return dataclasses.replace(d, children=tuple(_swap_in(k, old, new)
+                                                 for k in d.children))
+
+
+def _edit_premises(rule, edit):
+    """FORGE's derivation with the premises of its first `rule` node edited."""
+    d = check(parse(FORGE), {"x": 0, "y": 0}, ZERO)
+    node = next(n for n in d.walk() if n.rule == rule)
+    return _swap_in(d, node, dataclasses.replace(node, children=edit(node.children)))
+
+
+def _equal_copy(kids):
+    # The first argument judged on a copy of the variable, not the variable.
+    copied = copy.deepcopy(kids[0].subject)
+    assert copied == kids[0].subject and copied is not kids[0].subject
+    return (dataclasses.replace(kids[0], subject=copied),) + kids[1:]
+
+
+X0 = Var("x")
+
+
+@pytest.mark.parametrize("forge", [
+    lambda: _edit_premises("seq", lambda kids: kids[::-1]),
+    lambda: _edit_premises("if", lambda kids: (kids[0], kids[2], kids[1])),
+    lambda: _edit_premises("op", lambda kids: kids[::-1]),
+    lambda: _edit_premises("seq", lambda kids: kids[:1]),
+    lambda: _edit_premises("seq", lambda kids: kids + kids[1:]),
+    lambda: _edit_premises("op", _equal_copy),
+    lambda: _edit_premises("op", lambda kids: (
+        dataclasses.replace(kids[0], triple=TypedTriple(0, 1, 0)),) + kids[1:]),
+    lambda: Derivation("lift", X0, TypedTriple(1, 0, 0), (Derivation("var", X0, ZERO),)),
+    lambda: Derivation("skip", X0, ZERO),
+    lambda: Derivation("frob", Skip(), ZERO),
+], ids=["seq-swapped", "branches-swapped", "arguments-swapped", "premise-dropped",
+        "premise-added", "equal-copy", "channels-differ", "lifted-expression",
+        "wrong-class", "unknown-rule"])
+def test_verify_rejects_structural_forgeries(forge):
+    with pytest.raises(DerivationError):
+        verify_derivation(forge(), {"x": 0, "y": 0})
 
 
 def test_audits_pass_on_corpus_trees(corpus):
