@@ -16,7 +16,8 @@ Input bindings are var=VALUE where var is a variable name, and VALUE made
 of 0/1 only is taken as a literal word and any other digit string as a
 unary number (3 means 111).
 Oracle behaviour comes from a JSON spec file; runs are otherwise fully
-deterministic.  TIER_SEED in the environment overrides --seed.
+deterministic.  TIER_SEED in the environment overrides --seed.  Outputs
+print each oracle call with the symbol it records; a program uses one.
 """
 
 from __future__ import annotations
@@ -90,11 +91,14 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
 
 def _parse_gamma(text: str) -> dict[str, int]:
     gamma: dict[str, int] = {}
-    for item in text.split(","):
-        if not item:
-            continue
-        name, _, tier = item.partition("=")
-        gamma[name.strip()] = int(tier)
+    for item in filter(None, text.split(",")):
+        name, eq, tier = item.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError(f"expected var=tier, got {item!r}")
+        if name in gamma:
+            raise ValueError(f"--gamma gives {name!r} twice")
+        gamma[name] = int(tier)
     return gamma
 
 
@@ -129,10 +133,10 @@ def _load_oracle(path: str | None) -> TableOracle | None:
     return TableOracle.load(path)
 
 
-def _derivation_text(derivation, program) -> str:
+def _derivation_text(derivation) -> str:
     # Serialized before anything is printed or opened, so a tree too deep
     # for `json` ends the command with one error line and no file.
-    return json.dumps(derivation.to_json(program.oracle_name), indent=2)
+    return json.dumps(derivation.to_json(), indent=2)
 
 
 def cmd_parse(args) -> int:
@@ -152,7 +156,7 @@ def cmd_check(args) -> int:
     ok = derivation is not None
     tree = None
     if ok and args.emit_derivation:
-        tree = _derivation_text(derivation, program)
+        tree = _derivation_text(derivation)
     if args.format == "json":
         payload = {"ok": ok, "gamma": gamma, "triple": list(triple)}
         if tree is not None:
@@ -170,7 +174,7 @@ def cmd_infer(args) -> int:
     result = infer(program, t_max=args.max_tier)
     tree = None
     if result is not None and args.emit_derivation:
-        tree = _derivation_text(result.derivation, program)
+        tree = _derivation_text(result.derivation)
     if args.emit_cnf:
         # The instance of the mode the typing was found in, so its greatest
         # model decodes to the reported typing; the sealed mode if none.
@@ -304,9 +308,7 @@ def cmd_corpus_check(args) -> int:
                 problems.append(f"gamma {result.gamma} != {entry.gamma}")
             if entry.triple is not None and tuple(result.triple) != entry.triple:
                 problems.append(f"triple {result.triple} != {entry.triple}")
-            report = audit_derivation(
-                result.derivation, result.gamma, oracle_name=program.oracle_name
-            )
+            report = audit_derivation(result.derivation, result.gamma)
             if not report.ok:
                 problems.append(f"audit: {report.violations[0].detail}")
         ok = not problems

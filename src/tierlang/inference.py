@@ -712,9 +712,7 @@ def infer(
     if with_derivation:
         from .tiers import derive
 
-        derivation = derive(
-            solution, solution.triple, registry, oracle_name=program.oracle_name
-        )
+        derivation = derive(solution, solution.triple, registry)
     return InferenceResult(
         gamma=solution.var_tiers,
         triple=solution.triple,

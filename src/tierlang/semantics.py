@@ -316,8 +316,6 @@ def _compile(p: Program, registry: Registry, oracle: Oracle | None,
         if isinstance(e, OracleCall):
             data_of, bound_of = expr(e.data), expr(e.bound)
             if oracle is None:
-                name = p.oracle_name
-
                 def call() -> str:
                     nonlocal steps
                     data_of()
@@ -325,7 +323,7 @@ def _compile(p: Program, registry: Registry, oracle: Oracle | None,
                     steps += 1
                     if steps > limit:
                         raise FuelExhausted(fuel)
-                    raise OracleRequired(name)
+                    raise OracleRequired(e.name)
 
                 return call
             answer_of = oracle.answer

@@ -1,9 +1,9 @@
 """Abstract and concrete syntax for the tier language.
 
 The language is a minimal imperative while-language over binary words.
-Expressions are variables, operator applications, and calls to a single
-oracle symbol; the oracle is always queried through the truncate-pad
-form ``phi(data | bound)``.  A program is a command followed by
+Expressions are variables, operator applications, and oracle calls in the
+truncate-pad form ``phi(data | bound)``; each call records its symbol, and
+the parser keeps a program to one.  A program is a command followed by
 ``return x``.
 
 Words are plain Python strings over the alphabet {0, 1}.  Integer
@@ -98,10 +98,11 @@ class OpApp(Expr):
 
 @dataclass(frozen=True, eq=False)
 class OracleCall(Expr):
-    """Oracle query phi(data | bound): data truncate-padded to |bound|."""
+    """Oracle query name(data | bound): data truncate-padded to |bound|."""
 
     data: Expr
     bound: Expr
+    name: str = "phi"
 
 
 class Cmd(_Node):
@@ -144,7 +145,17 @@ class While(Cmd):
 class Program(_Node):
     body: Cmd
     return_var: str
-    oracle_name: str = "phi"
+
+    @property
+    def oracle_name(self) -> str:
+        """The symbol of the first oracle call, or phi if there is none."""
+        stack: list = [self.body]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, OracleCall):
+                return node.name
+            stack.extend(reversed(children(node)))
+        return "phi"
 
 
 class _Shape(NamedTuple):
@@ -158,13 +169,13 @@ class _Shape(NamedTuple):
 _PARTS: dict[type, _Shape] = {
     Var: _Shape(lambda node: (), (), ("name",)),
     OpApp: _Shape(attrgetter("args"), None, ("op",)),
-    OracleCall: _Shape(attrgetter("data", "bound"), ("data", "bound"), ()),
+    OracleCall: _Shape(attrgetter("data", "bound"), ("data", "bound"), ("name",)),
     Skip: _Shape(lambda node: (), (), ()),
     Assign: _Shape(lambda node: (node.value,), ("value",), ("target",)),
     Seq: _Shape(attrgetter("first", "rest"), ("first", "rest"), ()),
     If: _Shape(attrgetter("guard", "then", "orelse"), ("guard", "then", "else"), ()),
     While: _Shape(attrgetter("guard", "body"), ("guard", "body"), ()),
-    Program: _Shape(lambda node: (node.body,), ("body",), ("return_var", "oracle_name")),
+    Program: _Shape(lambda node: (node.body,), ("body",), ("return_var",)),
 }
 
 
@@ -348,7 +359,7 @@ class _Parser:
         self.expect("KEYWORD", "return")
         ret = self.expect("IDENT")
         self.expect("EOF")
-        return Program(body, ret[1], self.oracle_name or "phi")
+        return Program(body, ret[1])
 
     def parse_cmd(self) -> Cmd:
         """A `;` chain, read with a loop and folded into right-nested Seqs."""
@@ -444,7 +455,7 @@ class _Parser:
             raise self.error(
                 f"second oracle symbol {name!r}; the program already queries "
                 f"{self.oracle_name!r}", name_tok)
-        return OracleCall(data, bound)
+        return OracleCall(data, bound, name)
 
 
 def parse(source: str, registry=None) -> Program:
@@ -459,7 +470,7 @@ def parse(source: str, registry=None) -> Program:
 # --- Pretty printer ------------------------------------------------------
 
 
-def pretty_expr(e: Expr, oracle_name: str = "phi") -> str:
+def pretty_expr(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, OpApp):
@@ -468,42 +479,46 @@ def pretty_expr(e: Expr, oracle_name: str = "phi") -> str:
             if set(word) <= {"1"}:
                 return str(len(word))
             return f'"{word}"'
-        inner = ", ".join(pretty_expr(a, oracle_name) for a in e.args)
-        return f"{e.op}({inner})"
+        return f"{e.op}({', '.join(map(pretty_expr, e.args))})"
     if isinstance(e, OracleCall):
-        return (f"{oracle_name}({pretty_expr(e.data, oracle_name)} | "
-                f"{pretty_expr(e.bound, oracle_name)})")
+        return f"{e.name}({pretty_expr(e.data)} | {pretty_expr(e.bound)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def pretty_cmd(c: Cmd, indent: int = 0, oracle_name: str = "phi") -> str:
+def label(node: object) -> str:
+    """A node in one line: an expression in full, a command by its head."""
+    if isinstance(node, Expr):
+        return pretty_expr(node)
+    if isinstance(node, Assign):
+        return f"{node.target} := {pretty_expr(node.value)}"
+    if isinstance(node, If):
+        return f"if ({pretty_expr(node.guard)})"
+    if isinstance(node, While):
+        return f"while ({pretty_expr(node.guard)})"
+    return {Skip: "skip", Seq: "seq"}.get(type(node)) or str(node)
+
+
+def pretty_cmd(c: Cmd, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(c, Skip):
-        return f"{pad}skip"
-    if isinstance(c, Assign):
-        return f"{pad}{c.target} := {pretty_expr(c.value, oracle_name)}"
     if isinstance(c, Seq):
         lines = []
         while isinstance(c, Seq):
-            lines.append(pretty_cmd(c.first, indent, oracle_name))
+            lines.append(pretty_cmd(c.first, indent))
             c = c.rest
-        lines.append(pretty_cmd(c, indent, oracle_name))
+        lines.append(pretty_cmd(c, indent))
         return ";\n".join(lines)
+    if isinstance(c, (Skip, Assign)):
+        return pad + label(c)
     if isinstance(c, If):
-        return (f"{pad}if ({pretty_expr(c.guard, oracle_name)}) {{\n"
-                f"{pretty_cmd(c.then, indent + 1, oracle_name)}\n"
-                f"{pad}}} else {{\n"
-                f"{pretty_cmd(c.orelse, indent + 1, oracle_name)}\n"
-                f"{pad}}}")
+        return (f"{pad}{label(c)} {{\n{pretty_cmd(c.then, indent + 1)}\n"
+                f"{pad}}} else {{\n{pretty_cmd(c.orelse, indent + 1)}\n{pad}}}")
     if isinstance(c, While):
-        return (f"{pad}while ({pretty_expr(c.guard, oracle_name)}) {{\n"
-                f"{pretty_cmd(c.body, indent + 1, oracle_name)}\n"
-                f"{pad}}}")
+        return f"{pad}{label(c)} {{\n{pretty_cmd(c.body, indent + 1)}\n{pad}}}"
     raise TypeError(f"not a command: {c!r}")
 
 
 def pretty(p: Program) -> str:
-    return f"{pretty_cmd(p.body, 0, p.oracle_name)}\nreturn {p.return_var}\n"
+    return f"{pretty_cmd(p.body)}\nreturn {p.return_var}\n"
 
 
 # --- JSON export ---------------------------------------------------------

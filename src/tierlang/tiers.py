@@ -20,8 +20,8 @@ an arbitrary derivation tree, so forged trees can be fed to it in tests.
 It is one preorder walk with an explicit stack: the enclosing loops travel
 down as running aggregates, and the tiers each subject reads and writes
 come from a memo, so its cost is linear in the tree plus the violations it
-reports.  Verification and audit messages print oracle calls with the
-program's oracle symbol.
+reports.  Subjects print with `syntax.label`, and derivations compare and
+hash without recursion.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .operators import DEFAULT_REGISTRY, OperatorSpec, Positive, Registry
 from .syntax import (
     Assign,
     Cmd,
-    Expr,
     If,
     OpApp,
     OracleCall,
@@ -45,7 +44,7 @@ from .syntax import (
     While,
     assigned_vars,
     children,
-    pretty_expr,
+    label,
     variables_of,
 )
 from .inference import (
@@ -86,9 +85,10 @@ EXPR_RULES = frozenset(_SUBJECT_CLASS) - COMMAND_RULES
 _LOOP_RULES = frozenset({RULE_WHILE, RULE_WHILE_ZERO})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
-    """One rule application; children are the premise derivations in order."""
+    """One rule application; children are the premise derivations in order.
+    `==` and `hash` walk the tree with a stack, so any depth compares."""
 
     rule: str
     subject: object
@@ -103,31 +103,26 @@ class Derivation:
             yield d
             stack.extend(reversed(d.children))
 
-    def to_json(self, oracle_name: str = "phi") -> dict:
-        """The tree as nested dicts; subjects print oracle calls with
-        `oracle_name`, the program's oracle symbol."""
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # Equal premise counts at every node keep the two walks in step.
+        return all(
+            (a.rule, a.triple, len(a.children)) == (b.rule, b.triple, len(b.children))
+            and (a.subject is b.subject or a.subject == b.subject)
+            for a, b in zip(self.walk(), other.walk()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((d.rule, d.triple, len(d.children)) for d in self.walk()))
+
+    def to_json(self) -> dict:
+        """The tree as nested dicts, each subject printed by `label`."""
         return {
             "rule": self.rule,
-            "subject": _subject_label(self.subject, oracle_name),
+            "subject": label(self.subject),
             "triple": list(self.triple),
-            "children": [c.to_json(oracle_name) for c in self.children],
+            "children": [c.to_json() for c in self.children],
         }
-
-
-def _subject_label(subject: object, oracle_name: str = "phi") -> str:
-    if isinstance(subject, Expr):
-        return pretty_expr(subject, oracle_name)
-    if isinstance(subject, Skip):
-        return "skip"
-    if isinstance(subject, Assign):
-        return f"{subject.target} := {pretty_expr(subject.value, oracle_name)}"
-    if isinstance(subject, Seq):
-        return "seq"
-    if isinstance(subject, If):
-        return f"if ({pretty_expr(subject.guard, oracle_name)})"
-    if isinstance(subject, While):
-        return f"while ({pretty_expr(subject.guard, oracle_name)})"
-    return str(subject)
 
 
 def admissible_op_type(
@@ -166,7 +161,7 @@ def check(
     )
     if solution is None:
         return None
-    return derive(solution, triple, registry, oracle_name=program.oracle_name)
+    return derive(solution, triple, registry)
 
 
 def check_any(
@@ -182,23 +177,20 @@ def check_any(
         return None
     _, solution = found
     triple = TypedTriple(*solution.triple)
-    return triple, derive(solution, triple, registry, oracle_name=program.oracle_name)
+    return triple, derive(solution, triple, registry)
 
 
 def derive(
     solution: TierSolution,
     triple: tuple[int, int, int],
     registry: Registry | None = None,
-    *,
-    oracle_name: str = "phi",
 ) -> Derivation:
     """Build the derivation at `triple` from solved tiers and validate it.
 
     `triple` is the solution's own triple, or one with a higher root tier,
-    which lift steps reach; `oracle_name` is the program's oracle symbol,
-    for error messages."""
+    which lift steps reach."""
     derivation = build_derivation(solution, TypedTriple(*triple))
-    verify_derivation(derivation, solution.var_tiers, registry, oracle_name=oracle_name)
+    verify_derivation(derivation, solution.var_tiers, registry)
     return derivation
 
 
@@ -209,7 +201,7 @@ def _lift(d: Derivation, tier: int) -> Derivation:
         d = Derivation(RULE_LIFT, d.subject, raised, (d,))
     if d.triple.tier != tier:
         raise AssertionError(
-            f"cannot lower {d.triple.tier} to {tier} at {_subject_label(d.subject)}"
+            f"cannot lower {d.triple.tier} to {tier} at {label(d.subject)}"
         )
     return d
 
@@ -251,8 +243,6 @@ def verify_derivation(
     derivation: Derivation,
     gamma: dict[str, int],
     registry: Registry | None = None,
-    *,
-    oracle_name: str = "phi",
 ) -> None:
     """Re-check every rule application locally; raise DerivationError if any
     node is malformed.  Independent of the solver: only the tree, the
@@ -261,14 +251,13 @@ def verify_derivation(
     premises judge the subject's parts as `syntax.children` lists them, by
     identity and in order (a lift step's premise judges the subject), and
     operator, oracle and assignment premises carry the conclusion's
-    channels.  What is left per rule is the paper's tier side conditions.
-    Messages print oracle calls with `oracle_name`."""
+    channels.  What is left per rule is the paper's tier side conditions."""
     if registry is None:
         registry = DEFAULT_REGISTRY
 
     def fail(d: Derivation, why: str) -> None:
-        label = _subject_label(d.subject, oracle_name)
-        raise DerivationError(f"{d.rule} node for {label} at {d.triple}: {why}")
+        raise DerivationError(
+            f"{d.rule} node for {label(d.subject)} at {d.triple}: {why}")
 
     for d in derivation.walk():
         rule, subject, kids = d.rule, d.subject, d.children
@@ -401,9 +390,7 @@ def _access_tiers(
 _NO_LOOPS = (math.inf, -math.inf, 0, None)
 
 
-def audit_derivation(
-    derivation: Derivation, gamma: dict[str, int], *, oracle_name: str = "phi"
-) -> AuditReport:
+def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditReport:
     """Check the safety facts a correct derivation must exhibit.
 
     Collected, not raised, so forged trees produce a report:
@@ -425,15 +412,13 @@ def audit_derivation(
     greatest written tier.  Names and enclosing loops are listed only where
     an aggregate shows a violation, one violation per name or per (loop,
     node) pair, in node preorder; a node's names come in the order
-    `variables_of` lists them.  Subjects print oracle calls with
-    `oracle_name`.
+    `variables_of` lists them.
     """
     violations: list[AuditViolation] = []
     memo: dict[int, tuple[float, float]] = {}
 
     def flag(kind: str, d: Derivation, detail: str) -> None:
-        where = f"{d.rule} {_subject_label(d.subject, oracle_name)}"
-        violations.append(AuditViolation(kind, where, detail))
+        violations.append(AuditViolation(kind, f"{d.rule} {label(d.subject)}", detail))
 
     # Each frame holds the aggregate over all enclosing nodes and over those
     # outside the node's run of ancestors with the same subject.

@@ -12,14 +12,13 @@ from __future__ import annotations
 from typing import Iterator
 
 from tierlang.inference import RULE_WHILE, RULE_WHILE_ZERO
-from tierlang.syntax import Cmd, While, assigned_vars, variables_of
+from tierlang.syntax import Cmd, While, assigned_vars, label, variables_of
 from tierlang.tiers import (
     COMMAND_RULES,
     EXPR_RULES,
     AuditReport,
     AuditViolation,
     Derivation,
-    _subject_label,
 )
 
 
@@ -28,7 +27,7 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
 
     def flag(kind: str, d: Derivation, detail: str) -> None:
         violations.append(
-            AuditViolation(kind, f"{d.rule} {_subject_label(d.subject)}", detail)
+            AuditViolation(kind, f"{d.rule} {label(d.subject)}", detail)
         )
 
     nodes = list(derivation.walk())

@@ -135,30 +135,30 @@ def has_oracle_call(node: Program | Cmd | Expr) -> bool:
     return False
 
 
-def pretty_cmd(c: Cmd, indent: int = 0, oracle_name: str = "phi") -> str:
+def pretty_cmd(c: Cmd, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(c, Skip):
         return f"{pad}skip"
     if isinstance(c, Assign):
-        return f"{pad}{c.target} := {pretty_expr(c.value, oracle_name)}"
+        return f"{pad}{c.target} := {pretty_expr(c.value)}"
     if isinstance(c, Seq):
-        return (f"{pretty_cmd(c.first, indent, oracle_name)};\n"
-                f"{pretty_cmd(c.rest, indent, oracle_name)}")
+        return (f"{pretty_cmd(c.first, indent)};\n"
+                f"{pretty_cmd(c.rest, indent)}")
     if isinstance(c, If):
-        return (f"{pad}if ({pretty_expr(c.guard, oracle_name)}) {{\n"
-                f"{pretty_cmd(c.then, indent + 1, oracle_name)}\n"
+        return (f"{pad}if ({pretty_expr(c.guard)}) {{\n"
+                f"{pretty_cmd(c.then, indent + 1)}\n"
                 f"{pad}}} else {{\n"
-                f"{pretty_cmd(c.orelse, indent + 1, oracle_name)}\n"
+                f"{pretty_cmd(c.orelse, indent + 1)}\n"
                 f"{pad}}}")
     if isinstance(c, While):
-        return (f"{pad}while ({pretty_expr(c.guard, oracle_name)}) {{\n"
-                f"{pretty_cmd(c.body, indent + 1, oracle_name)}\n"
+        return (f"{pad}while ({pretty_expr(c.guard)}) {{\n"
+                f"{pretty_cmd(c.body, indent + 1)}\n"
                 f"{pad}}}")
     raise TypeError(f"not a command: {c!r}")
 
 
 def pretty(p: Program) -> str:
-    return f"{pretty_cmd(p.body, 0, p.oracle_name)}\nreturn {p.return_var}\n"
+    return f"{pretty_cmd(p.body)}\nreturn {p.return_var}\n"
 
 
 def tree_key(node) -> tuple:

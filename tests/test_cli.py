@@ -70,13 +70,26 @@ def test_run_fuel_exhaustion(add_file, capsys):
     ["run", "--input", "=3"],
     ["run", "--input", "x y=3"],
     ["run", "--input", "while=3"],
+    ["check", "--gamma", "x=1,x=0,y=0", "--triple", "1,1,0"],
+    ["check", "--gamma", "x", "--triple", "1,1,0"],
 ], ids=["negative-fuel", "negative-sweep-fuel", "negative-trials", "negative-step",
-        "empty-range", "empty-name", "spaced-name", "keyword-name"])
+        "empty-range", "empty-name", "spaced-name", "keyword-name", "repeated-gamma-name",
+        "gamma-without-tier"])
 def test_bad_numbers_and_names_are_usage_errors(argv, add_file, capsys):
     assert main([argv[0], add_file, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     _assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ("x=1,x=0,y=0", "--gamma gives 'x' twice"),
+    ("x=0,x=1,y=0", "--gamma gives 'x' twice"),
+    ("x", "expected var=tier, got 'x'"),
+])
+def test_bad_gamma_is_named(gamma, message, add_file, capsys):
+    assert main(["check", add_file, "--gamma", gamma, "--triple", "1,1,0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_stuck_guard(tmp_path, capsys):

@@ -11,7 +11,21 @@ from hypothesis import given
 
 from tierlang.bruteforce import typing_table
 from tierlang.operators import Positive, builtin_registry
-from tierlang.syntax import Assign, OpApp, Seq, Skip, Var, While, parse, variables_of
+from tierlang.semantics import OracleRequired, run_program
+from tierlang.syntax import (
+    Assign,
+    OpApp,
+    OracleCall,
+    Program,
+    Seq,
+    Skip,
+    Var,
+    While,
+    parse,
+    pretty,
+    program_to_json,
+    variables_of,
+)
 from tierlang.tiers import (
     AuditViolation,
     Derivation,
@@ -221,9 +235,47 @@ def test_messages_print_the_programs_oracle():
     gamma = {"x": 0, "y": 0, "z": 0}
     d = check(p, gamma, (0, 1, 0))
     with pytest.raises(DerivationError, match=r"assign node for y := psi\(x \| z\)"):
-        verify_derivation(_tamper(d), gamma, oracle_name="psi")
-    report = audit_derivation(d, {**gamma, "y": 1}, oracle_name="psi")
+        verify_derivation(_tamper(d), gamma)
+    report = audit_derivation(d, {**gamma, "y": 1})
     assert [v.where for v in report.violations] == ["assign y := psi(x | z)"]
+
+
+def test_a_built_call_prints_its_own_symbol():
+    x, z = Var("x"), Var("z")
+    p = Program(Assign("y", OracleCall(x, z, "psi")), "y")
+    assert OracleCall(x, z, "psi") != OracleCall(x, z)
+    assert pretty(p) == "y := psi(x | z)\nreturn y\n"
+    assert p.oracle_name == program_to_json(p)["oracle"] == "psi"
+    assert Program(Skip(), "y").oracle_name == "phi"
+    gamma = {"x": 0, "y": 0, "z": 0}
+    d = check(p, gamma, (0, 1, 0))
+    assert [n.rule for n in d.walk()] == ["assign", "oracle", "var", "var"]
+    tree = d.to_json()
+    assert tree["subject"] == "y := psi(x | z)"
+    assert tree["children"][0]["subject"] == "psi(x | z)"
+    with pytest.raises(DerivationError, match=r"assign node for y := psi\(x \| z\)"):
+        verify_derivation(_tamper(d), gamma)
+    report = audit_derivation(d, {**gamma, "y": 1})
+    assert [v.where for v in report.violations] == ["assign y := psi(x | z)"]
+    with pytest.raises(OracleRequired, match="oracle 'psi'"):
+        run_program(p, {"x": "1", "z": "1"})
+
+
+def test_deep_derivations_compare_and_hash_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    a, b = (check(parse("skip return x"), {"x": 0}, (3000, 0, 0)) for _ in range(2))
+    assert a.subject is not b.subject
+    assert a == b and not a != b and hash(a) == hash(b)
+    nodes = list(b.walk())
+    assert len(nodes) == 3001
+    changed = Derivation("skip", nodes[-1].subject, TypedTriple(0, 0, 1))
+    for d in reversed(nodes[:-1]):
+        changed = Derivation(d.rule, d.subject, d.triple, (changed,))
+    assert a != changed and not a == changed
+    one = TypedTriple(0, 0, 0)
+    assert Derivation("var", Var("x"), one) == Derivation("var", Var("x"), one)
+    assert Derivation("var", Var("x"), one) != Derivation("var", Var("y"), one)
+    assert Derivation("skip", Skip(), one) != Derivation("skip", Skip(), one, (a,))
 
 
 def test_lift_nodes_step_by_exactly_one():
