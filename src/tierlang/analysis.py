@@ -12,11 +12,11 @@ saw; it proves nothing, it measures.
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
-
-import numpy as np
 
 from .operators import Registry, random_word
 from .semantics import (
@@ -109,14 +109,16 @@ class SweepReport:
 
 def fit_loglog_slope(ms: Iterable[int], steps: Iterable[int]) -> float | None:
     """Least-squares slope of log(steps) against log(m); None when fewer
-    than two distinct m values are available."""
+    than two distinct m values are available, and exactly 0.0 when the
+    step count does not change."""
     pairs = [(m, s) for m, s in zip(ms, steps) if m > 0 and s > 0]
     if len({m for m, _ in pairs}) < 2:
         return None
-    xs = np.log([m for m, _ in pairs])
-    ys = np.log([s for _, s in pairs])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    if len({s for _, s in pairs}) == 1:
+        return 0.0  # the fit itself can round to a tiny slope of either sign
+    xs = [math.log(m) for m, _ in pairs]
+    ys = [math.log(s) for _, s in pairs]
+    return statistics.linear_regression(xs, ys).slope
 
 
 def sweep(

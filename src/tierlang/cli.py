@@ -236,7 +236,15 @@ def cmd_analyze(args) -> int:
         if unknown:
             raise ValueError(f"--scale-vars: the program has no variable {unknown[0]!r}")
         names = scaled
+    # Every option is checked before anything is printed or written.
+    if args.fuel < 0:
+        raise ValueError(f"negative fuel {args.fuel}")
+    if args.trials < 0:
+        raise ValueError(f"negative trial count {args.trials}")
     seed = _seed(args)
+    if args.sweep:
+        scales = _parse_range(args.sweep)
+        oracle = _load_oracle(args.oracle)
     result = infer(program, t_max=args.max_tier, with_derivation=False)
     if result is None:
         print(
@@ -246,8 +254,6 @@ def cmd_analyze(args) -> int:
     payload: dict = {"typable": result is not None}
     status = EXIT_OK
     if args.sweep:
-        scales = _parse_range(args.sweep)
-        oracle = _load_oracle(args.oracle)
         if oracle is None and has_oracle_call(program):
             oracle = analysis.random_table_oracle(random.Random(seed))
         report = analysis.sweep(

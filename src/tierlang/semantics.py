@@ -11,12 +11,16 @@ implicit sequencing node of the unrolling.
 Oracle queries always pass through truncate-pad, so the queried word
 has length exactly |bound| + 1 and is never empty.
 
-`run_program` compiles the program body, once per call, into nested
-closures over the store's dict and one step counter, so a step costs a
-closure call instead of a type dispatch and a registry lookup.  The
-closures tick in the order of the derivation and check the fuel after
-every tick.  A right-nested chain of `;` runs as one loop, so the Python
-call depth follows the nesting of the program, not its length.
+`run_program` compiles the program body into nested closures over one
+step counter and the run's store dict, so a step costs a closure call
+instead of a type dispatch and a registry lookup.  It compiles once per
+program and registry, not once per run: the compiled runners are pooled
+on the program, and each run binds its store, fuel, oracle and query log
+into the closures when it starts and drops them when it ends, so no state
+survives a run.  The closures tick in the order of the derivation and
+check the fuel after every tick.  A right-nested chain of `;` runs as one
+loop, so the Python call depth follows the nesting of the program, not
+its length.
 
 Words are validated where they enter: input bindings (`Store`), table
 rows (`TableOracle`), oracle answers, and results of operators that are
@@ -239,22 +243,29 @@ class RunResult:
 # bound keeps the per-step comparison cheap.
 _UNLIMITED = sys.maxsize
 
+# The attribute of a Program that holds its pool of compiled runners.
+_RUNNERS = "_runners"
 
-def _compile(p: Program, registry: Registry, oracle: Oracle | None,
-             fuel: int | None, data: dict[str, str],
-             queries: list[tuple[str, str]]) -> Callable[[], int]:
-    """Compile ``p`` into a closure that runs it on ``data`` and returns the
-    step total.
+
+def _compile(p: Program, registry: Registry
+             ) -> Callable[[dict[str, str], int | None, Oracle | None,
+                            list[tuple[str, str]]], int]:
+    """Compile ``p`` into a runner ``run(store, budget, oracle, log)`` that
+    runs it on the store's dict under the fuel ``budget``, appends each
+    oracle query and answer to ``log``, and returns the step total.
 
     Each node becomes one closure that evaluates its children, ticks the
     shared step counter once per rule application and checks the fuel
     after every tick, in the order of the derivation.  Errors that depend
     on a node (an unknown operator, a wrong arity, a missing oracle) are
-    raised when that node is evaluated, never at compile time.
+    raised when that node is evaluated, never at compile time.  The runner
+    can be called any number of times, though not while it is running: it
+    binds the run's state into the closures' cells when it starts and
+    drops the store, the oracle and the query log when it ends.
     """
     steps = 0
-    limit = _UNLIMITED if fuel is None else fuel
-    get = data.get
+    limit = fuel = None
+    data = get = answer_of = record = None
 
     def expr(e: Expr) -> Callable[[], str]:
         if isinstance(e, Var):
@@ -314,20 +325,7 @@ def _compile(p: Program, registry: Registry, oracle: Oracle | None,
                     return fn(*words)
             return app
         if isinstance(e, OracleCall):
-            data_of, bound_of = expr(e.data), expr(e.bound)
-            if oracle is None:
-                def call() -> str:
-                    nonlocal steps
-                    data_of()
-                    bound_of()
-                    steps += 1
-                    if steps > limit:
-                        raise FuelExhausted(fuel)
-                    raise OracleRequired(e.name)
-
-                return call
-            answer_of = oracle.answer
-            record = queries.append
+            data_of, bound_of, name = expr(e.data), expr(e.bound), e.name
 
             def call() -> str:
                 nonlocal steps
@@ -336,6 +334,8 @@ def _compile(p: Program, registry: Registry, oracle: Oracle | None,
                 steps += 1
                 if steps > limit:
                     raise FuelExhausted(fuel)
+                if answer_of is None:
+                    raise OracleRequired(name)
                 query = truncate_pad(v, bound)
                 answer = answer_of(query)
                 if not is_word(answer):
@@ -435,18 +435,28 @@ def _compile(p: Program, registry: Registry, oracle: Oracle | None,
         body = cmd(p.body)
     finally:
         # The two compilers reach each other through their closure cells;
-        # clearing the cells leaves no reference cycle behind the run.
+        # clearing the cells leaves no reference cycle behind.
         expr = cmd = None  # type: ignore[assignment]
 
-    def program() -> int:
-        nonlocal steps
-        body()
-        steps += 1
-        if steps > limit:
-            raise FuelExhausted(fuel)
-        return steps
+    def run(store: dict[str, str], budget: int | None, oracle: Oracle | None,
+            log: list[tuple[str, str]]) -> int:
+        nonlocal steps, limit, fuel, data, get, answer_of, record
+        steps, fuel = 0, budget
+        limit = _UNLIMITED if budget is None else budget
+        data, get = store, store.get
+        answer_of = None if oracle is None else oracle.answer
+        record = log.append
+        try:
+            body()
+            steps += 1
+            if steps > limit:
+                raise FuelExhausted(fuel)
+            return steps
+        finally:
+            # A pooled runner keeps no store, oracle or query log alive.
+            data = get = answer_of = record = None
 
-    return program
+    return run
 
 
 def run_program(p: Program, inputs: dict[str, str] | None = None,
@@ -457,6 +467,13 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
     Unbound variables start empty.  ``fuel``, when set, bounds the step
     count; exceeding it raises FuelExhausted, and a negative one raises
     ValueError.
+
+    The program is compiled once per registry: its runners are pooled on
+    the program object, and each run takes one from the pool, or compiles
+    a new one when the pool is empty, and gives it back when it ends.  So
+    a run nested inside another run of the same program gets a runner of
+    its own.  The pool holds runners for one registry, compared by
+    identity; a run with another registry starts a new pool.
     """
     if fuel is not None and fuel < 0:
         raise ValueError(f"negative fuel {fuel}")
@@ -464,6 +481,19 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
         registry = DEFAULT_REGISTRY
     store = Store(inputs or {})
     trace = ExecutionTrace(initial_store_size=store.size())
-    run = _compile(p, registry, oracle, fuel, store._data, trace.queries)
-    trace.steps = run()
+    # The pool lives outside the dataclass fields, so `==`, `hash`, `repr`
+    # and the exports never see it.  It is not keyed by the program, since
+    # hashing a program walks its whole tree.
+    pool = p.__dict__.get(_RUNNERS)
+    if pool is None or pool[0] is not registry:
+        pool = p.__dict__[_RUNNERS] = (registry, [])
+    runners = pool[1]
+    try:
+        run = runners.pop()  # atomic, so threads never share a runner
+    except IndexError:
+        run = _compile(p, registry)
+    try:
+        trace.steps = run(store._data, fuel, oracle, trace.queries)
+    finally:
+        runners.append(run)
     return RunResult(store.get(p.return_var), store, trace)

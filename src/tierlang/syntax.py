@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter, eq
+from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
 KEYWORDS = frozenset({"skip", "if", "else", "while", "return"})
@@ -68,14 +68,13 @@ class ParseError(Exception):
 
 
 class _Node:
-    """Structural equality and hashing over `_preorder_keys`, without
-    recursion.  With their part counts the keys are a prefix code, so two
-    trees whose keys agree until one of them ends are the same tree."""
+    """Structural equality and hashing without recursion: `==` walks both
+    trees in step (`_same_tree`) and `hash` hashes `_preorder_keys`."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return all(map(eq, _preorder_keys(self), _preorder_keys(other)))
+        return _same_tree(self, other, set())
 
     def __hash__(self) -> int:
         return hash(tuple(_preorder_keys(self)))
@@ -146,6 +145,12 @@ class Program(_Node):
     body: Cmd
     return_var: str
 
+    def __getstate__(self) -> dict:
+        # What other modules cache on a program under a private name (the
+        # interpreter's pool of compiled runners) is not part of it, so
+        # copies and pickles start without.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
     @property
     def oracle_name(self) -> str:
         """The symbol of the first oracle call, or phi if there is none."""
@@ -205,6 +210,39 @@ def _preorder_keys(node: _Node) -> Iterator[tuple]:
         parts = shape.parts(node)
         yield (type(node), len(parts), *(getattr(node, f) for f in shape.own))
         stack.extend(parts)
+
+
+def _same_tree(a: object, b: object, known: set[tuple[int, int]]) -> bool:
+    """``a is b or a == b``, remembering which node pairs are equal.
+
+    ``known`` holds the ``(id, id)`` pairs of nodes already found equal; the
+    walk skips them without descending.  When the trees are equal, every
+    pair visited joins ``known``, so the subtrees of equal trees compare in
+    one lookup each.  The caller keeps both trees alive while ``known`` is
+    in use, so the ids stay theirs.
+    """
+    if type(a) is not type(b) or type(a) not in _PARTS:
+        return a is b or a == b
+    visited = []
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        pair = (id(x), id(y))
+        if x is y or pair in known:
+            continue
+        if type(x) is not type(y):
+            return False
+        shape = _PARTS[type(x)]
+        xs, ys = shape.parts(x), shape.parts(y)
+        if len(xs) != len(ys):
+            return False
+        for f in shape.own:
+            if getattr(x, f) != getattr(y, f):
+                return False
+        visited.append(pair)
+        stack.extend(zip(xs, ys))
+    known.update(visited)
+    return True
 
 
 def program_size(p: Program) -> int:

@@ -42,6 +42,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    _same_tree,
     assigned_vars,
     children,
     label,
@@ -107,9 +108,12 @@ class Derivation:
         if type(other) is not type(self):
             return NotImplemented
         # Equal premise counts at every node keep the two walks in step.
+        # Subjects nest, so node pairs found equal once are not compared
+        # again, and the whole walk is linear in the two trees.
+        known: set[tuple[int, int]] = set()
         return all(
             (a.rule, a.triple, len(a.children)) == (b.rule, b.triple, len(b.children))
-            and (a.subject is b.subject or a.subject == b.subject)
+            and _same_tree(a.subject, b.subject, known)
             for a, b in zip(self.walk(), other.walk()))
 
     def __hash__(self) -> int:

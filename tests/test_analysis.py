@@ -1,5 +1,6 @@
 """Dynamic analysis tests: revision counting, step sweeps, interference."""
 
+import math
 import random
 
 import pytest
@@ -146,3 +147,9 @@ def test_slope_tolerates_constant_programs():
     p = parse("x := 1 return x")
     report = sweep(p, unary_inputs("y"), None, [1, 2, 4, 8])
     assert report.slope is None or report.slope == pytest.approx(0.0, abs=0.3)
+
+
+def test_a_flat_series_has_slope_plus_zero():
+    # Fitted as it stands, this series rounds to a slope of about -5e-32.
+    slope = fit_loglog_slope([2, 4, 8], [18, 18, 18])
+    assert slope == 0.0 and math.copysign(1.0, slope) == 1.0

@@ -343,6 +343,20 @@ def test_analyze_rejects_scale_vars_the_program_does_not_use(names, add_file, ca
     _assert_one_error_line(captured.err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--trials", "-1"],
+    ["--fuel", "-1"],
+], ids=["negative-trials", "negative-fuel"])
+def test_analyze_checks_its_options_before_any_output(argv, add_file, tmp_path, capsys):
+    plot = tmp_path / "t.tsv"
+    assert main(["analyze", add_file, "--sweep", "1:3", "--plot-data", str(plot),
+                 "--ni", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert not plot.exists()
+
+
 def test_analyze_ni(add_file, capsys):
     assert main(["analyze", add_file, "--ni", "--trials", "30"]) == 0
     out = capsys.readouterr().out
@@ -373,3 +387,13 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "infer" in proc.stdout
+
+
+def test_the_cli_imports_without_numpy():
+    src = os.path.dirname(os.path.dirname(tierlang.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tierlang.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

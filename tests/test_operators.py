@@ -1,15 +1,19 @@
 """Builtin operator behaviour and classification checks."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from tierlang.operators import (
+    ALPHABET,
     DEFAULT_REGISTRY,
     Neutral,
     OperatorSpec,
     Positive,
     builtin_registry,
     is_subword,
+    random_word,
     validate_classification,
 )
 from tierlang.syntax import literal_op_name
@@ -124,3 +128,15 @@ def test_pred_shrinks(reg, w):
 def test_lmin_never_longer_than_either(reg, a, b):
     out = apply(reg, "lmin", a, b)
     assert len(out) <= min(len(a), len(b))
+
+
+def test_random_word_draws_as_rng_choice_does():
+    def reference(rng, max_len):
+        n = rng.randint(0, max_len)
+        return "".join(rng.choice(ALPHABET) for _ in range(n))
+
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for max_len in range(65):
+            assert random_word(ours, max_len) == reference(theirs, max_len)
+        assert ours.getstate() == theirs.getstate()

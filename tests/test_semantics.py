@@ -1,18 +1,29 @@
 """Interpreter tests: truncate-pad, step accounting, oracles, failure modes."""
 
+import copy
 import gc
+import os
+import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tierlang import semantics
 from tierlang.operators import (
+    DEFAULT_REGISTRY,
     Neutral,
     OperatorSpec,
     UnknownOperator,
     builtin_registry,
 )
 from tierlang.semantics import (
+    ExecutionTrace,
     FuelExhausted,
+    Oracle,
+    OracleRequired,
     PaddedOracle,
     Store,
     StuckGuard,
@@ -31,8 +42,11 @@ from tierlang.syntax import (
     While,
     literal_op_name,
     parse,
+    pretty,
+    program_to_json,
 )
 
+from .reference_semantics import reference_run
 from .strategies import words
 
 
@@ -268,3 +282,161 @@ def test_a_run_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- One compiled program, many runs --------------------------------------
+
+
+def _seen(res):
+    return res.value, res.store.bindings(), res.trace.steps, res.trace.queries
+
+
+def test_a_run_cut_short_leaves_the_program_ready_for_the_next():
+    src = "while (gt0(x)) { x := pred(x); y := suc1(y) } return y"
+    p = parse(src)
+    with pytest.raises(FuelExhausted):
+        run_program(p, {"x": "111"}, fuel=3)
+    assert _seen(run_program(p, {"x": "111"})) == _seen(
+        run_program(parse(src), {"x": "111"}))
+
+
+def test_the_oracle_is_looked_for_in_each_run():
+    p = parse("y := psi(x | x) return y")
+    # The data, the bound and the call's own tick come before the check.
+    with pytest.raises(FuelExhausted):
+        run_program(p, {"x": "1"}, fuel=2)
+    with pytest.raises(OracleRequired) as missing:
+        run_program(p, {"x": "1"}, fuel=3)
+    assert missing.value.name == "psi"
+    res = run_program(p, {"x": "1"}, TableOracle(default=("constant", "0")))
+    assert (res.value, res.trace.queries) == ("0", [("11", "0")])
+    with pytest.raises(OracleRequired, match="oracle 'psi'"):
+        run_program(p, {"x": "1"})
+
+
+class _Reentrant(Oracle):
+    """Answers a query by running the program again on a shorter input."""
+
+    def __init__(self, program, run):
+        self.program, self.run = program, run
+
+    def answer(self, query: str) -> str:
+        if len(query) <= 2:
+            return query
+        return self.run(self.program, {"x": query[2:]}, self).value
+
+
+def test_an_oracle_may_run_the_program_it_answers():
+    p = parse("y := phi(x | pred(x)) ; while (gt0(x)) { x := pred(x); z := suc1(z) } ;"
+              " y := suc0(y) ; z := phi(y | z) return z")
+    for x in ("", "1", "1011", "1" * 9):
+        assert _seen(run_program(p, {"x": x}, _Reentrant(p, run_program))) == _seen(
+            reference_run(p, {"x": x}, _Reentrant(p, reference_run)))
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _WeakStore(Store):
+    """A store whose dict, unlike a plain one, takes weak references."""
+
+    __slots__ = ()
+
+    def __init__(self, bindings=None):
+        super().__init__(bindings)
+        self._data = _Dict(self._data)
+
+
+class _WeakTrace(ExecutionTrace):
+    """A trace that, with its query list, takes weak references."""
+
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.queries = _List()
+
+
+class _WeakOracle(Oracle):
+    def answer(self, query: str) -> str:
+        return query
+
+
+def test_a_pooled_runner_keeps_nothing_of_its_last_run(monkeypatch):
+    monkeypatch.setattr(semantics, "Store", _WeakStore)
+    monkeypatch.setattr(semantics, "ExecutionTrace", _WeakTrace)
+    p = parse("y := phi(x | x) ; while (gt0(x)) { x := pred(x) } return y")
+    oracle = _WeakOracle()
+    gc.collect()
+    gc.disable()
+    try:
+        res = run_program(p, {"x": "11"}, oracle)
+        assert res.value == "111"
+        refs = [weakref.ref(o) for o in (res.store._data, res.trace,
+                                         res.trace.queries, oracle)]
+        del res, oracle
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def test_each_registry_gets_its_own_compilation():
+    bad = lambda w: w + "2" if w == "0" else w + w  # noqa: E731
+    p = parse("if (b) { y := twice(x) } else { skip } return y",
+              DEFAULT_REGISTRY.extended(OperatorSpec("twice", 1, Neutral(), bad)))
+    assert run_program(p, {"b": "0", "x": "1"}).value == ""
+    with pytest.raises(UnknownOperator):
+        run_program(p, {"b": "1", "x": "1"})
+    reg = DEFAULT_REGISTRY.extended(OperatorSpec("twice", 1, Neutral(), bad))
+    assert run_program(p, {"b": "0", "x": "1"}, registry=reg).value == ""
+    assert run_program(p, {"b": "1", "x": "1"}, registry=reg).value == "11"
+    with pytest.raises(ValueError, match="returned a non-word: '02'"):
+        run_program(p, {"b": "1", "x": "0"}, registry=reg)
+    with pytest.raises(UnknownOperator):
+        run_program(p, {"b": "1", "x": "1"})
+
+
+def test_the_runner_pool_is_not_part_of_the_program():
+    src = "while (gt0(x)) { x := pred(x) } return x"
+    p, fresh = parse(src), parse(src)
+    shown = repr(p), hash(p), pretty(p), program_to_json(p)
+    run_program(p, {"x": "11"})
+    assert p == fresh and (repr(p), hash(p), pretty(p), program_to_json(p)) == shown
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and vars(twin).keys() == vars(fresh).keys()
+        assert run_program(twin, {"x": "11"}).trace.steps == run_program(
+            p, {"x": "11"}).trace.steps
+
+
+def test_threads_running_one_program_never_share_a_runner():
+    p = parse("while (gt0(x)) { x := pred(x); y := suc1(y) } return y")
+    failures = []
+
+    def work(k: int) -> None:
+        try:
+            start.wait()
+            for n in range(200):
+                x = "1" * ((k + n) % 17)
+                res = run_program(p, {"x": x, "y": "1"})
+                if (res.value, res.trace.steps) != ("1" + x, 11 * len(x) + 4):
+                    failures.append((k, n, res.value, res.trace.steps))
+        except Exception as exc:  # a thread's error would not fail the test
+            failures.append((k, repr(exc)))
+
+    workers = [threading.Thread(target=work, args=(k,))
+               for k in range(min(os.cpu_count() or 1, 7) + 1)]
+    start = threading.Barrier(len(workers), timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert failures == []

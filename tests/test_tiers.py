@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from tierlang.bruteforce import typing_table
+from tierlang.inference import infer
 from tierlang.operators import Positive, builtin_registry
 from tierlang.semantics import OracleRequired, run_program
 from tierlang.syntax import (
@@ -276,6 +277,20 @@ def test_deep_derivations_compare_and_hash_without_recursion():
     assert Derivation("var", Var("x"), one) == Derivation("var", Var("x"), one)
     assert Derivation("var", Var("x"), one) != Derivation("var", Var("y"), one)
     assert Derivation("skip", Skip(), one) != Derivation("skip", Skip(), one, (a,))
+
+
+def test_derivations_of_separately_parsed_chains_compare_in_linear_time():
+    assert sys.getrecursionlimit() <= 1000
+    src = " ; ".join(["x := pred(x)"] * 800) + " return x"
+    a, b = (infer(parse(src)).derivation for _ in range(2))
+    assert a.subject is not b.subject
+    start = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - start < 0.5
+    c = infer(parse(src[:src.rindex("pred(x)")] + "pred(y) return x")).derivation
+    # Only the last leaf's subject tells the two trees apart.
+    assert [(d.rule, d.triple) for d in c.walk()] == [(d.rule, d.triple) for d in a.walk()]
+    assert a != c and not a == c
 
 
 def test_lift_nodes_step_by_exactly_one():
