@@ -11,11 +11,26 @@ tier-lifting rule into a "some introduction tier below" search.
 cap.  `enumerate_family` builds every program up to a size bound over a
 fixed stock of variables and operators, one representative per variable
 renaming class.
+
+The family is built bottom up, by size.  Each expression and command
+carries its variables in order of first occurrence, the order
+`variables_of` gives, merged from its parts' orders through a memo.  A
+program is kept when that order is a prefix of the stock.  Candidates of
+the largest size are built only when they will be kept; smaller ones are
+all built, since larger programs use them as parts.  No candidate is
+walked after it is built.
+
+`derivable` and `expr_tiers` recurse once per nesting level and once per
+`;` link, as the rules are written.  At the default recursion limit they
+take about 990 levels of commands and about 490 of nested operator
+applications; the families they check are far smaller.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from functools import partial
 
 from .operators import DEFAULT_REGISTRY, Positive, Registry
 from .syntax import (
@@ -236,65 +251,88 @@ def enumerate_family(
 
     Size is the node count from `program_size`.  The return variable is
     always the first stock name, and only programs whose variables appear
-    in stock order are kept, so each renaming class shows up once.
+    in stock order are kept, so each renaming class shows up once.  The
+    list runs by body size, and within a size by constructor (assignment,
+    loop, sequence, conditional), then by part.
+
+    Each candidate carries its variables in order of first occurrence, as
+    `variables_of` lists them, merged from its parts' orders.  Candidates
+    of the largest size are built only when that order is a prefix of the
+    stock; smaller ones are all built, since they are parts of larger ones.
     """
     if registry is None:
         registry = DEFAULT_REGISTRY
     specs = [registry.lookup(name) for name in op_names]
     body_max = max_size - 1
+    if body_max < 1:
+        return []
+    canonical = {var_names[:k] for k in range(len(var_names) + 1)}
+    merged: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
 
-    exprs: dict[int, list[Expr]] = {s: [] for s in range(1, body_max + 1)}
-    for v in var_names:
-        exprs[1].append(Var(v))
-    for spec in specs:
-        if spec.arity == 0:
-            exprs[1].append(OpApp(spec.name))
-    for size in range(2, body_max + 1):
+    def merge(head: tuple[str, ...], tail: tuple[str, ...]) -> tuple[str, ...]:
+        """The order of a node whose parts have these orders, left to right."""
+        key = (head, tail)
+        order = merged.get(key)
+        if order is None:
+            order = merged[key] = head + tuple(v for v in tail if v not in head)
+        return order
+
+    # (node, order) pairs by size.  The largest expression any command
+    # takes, a value or a guard, has size body_max - 2.
+    exprs: dict[int, list] = defaultdict(list)
+    exprs[1] = [(Var(v), (v,)) for v in var_names]
+    exprs[1] += [(OpApp(spec.name), ()) for spec in specs if spec.arity == 0]
+    for size in range(2, body_max - 1):
         for spec in specs:
             if spec.arity == 0:
                 continue
             for parts in _compositions(size - 1, spec.arity):
                 for args in itertools.product(*(exprs[p] for p in parts)):
-                    exprs[size].append(OpApp(spec.name, args))
+                    order: tuple[str, ...] = ()
+                    for _, part_order in args:
+                        order = merge(order, part_order)
+                    node = OpApp(spec.name, tuple(arg for arg, _ in args))
+                    exprs[size].append((node, order))
 
-    cmds: dict[int, list[Cmd]] = {s: [] for s in range(1, body_max + 1)}
-    plain: dict[int, list[Cmd]] = {s: [] for s in range(1, body_max + 1)}
-
-    def register(size: int, c: Cmd) -> None:
-        cmds[size].append(c)
-        if not isinstance(c, Seq):
-            plain[size].append(c)
-
-    register(1, Skip())
+    cmds: dict[int, list] = {1: [(Skip(), ())], 2: []}
+    plain: dict[int, list] = {1: cmds[1], 2: []}  # not a Seq: first parts
     for size in range(3, body_max + 1):
-        for v in var_names:
-            for e in exprs[size - 2]:
-                register(size, Assign(v, e))
-        for gsize, bsize in _compositions(size - 1, 2):
-            for guard in exprs[gsize]:
-                for body in cmds[bsize]:
-                    register(size, While(guard, body))
-        for first_size, rest_size in _compositions(size - 1, 2):
-            for first in plain[first_size]:
-                for rest in cmds[rest_size]:
-                    register(size, Seq(first, rest))
-        if size >= 4:
-            for gsize, tsize, esize in _compositions(size - 1, 3):
-                for guard in exprs[gsize]:
-                    for then in cmds[tsize]:
-                        for orelse in cmds[esize]:
-                            register(size, If(guard, then, orelse))
+        last = size == body_max
+        built: list = []
 
-    out: list[Cmd] = []
-    programs = []
-    for size in range(1, body_max + 1):
-        out.extend(cmds[size])
-    for body in out:
-        p = Program(body, var_names[0])
-        used = variables_of(p)
-        if used == var_names[: len(used)]:
-            programs.append(p)
-    return programs
+        def attach(make, head: tuple[str, ...], tails: list) -> None:
+            """Build make(tail) for each tail, whose order follows head's;
+            at the largest size, only the canonical ones."""
+            if not last:
+                built.extend((make(tail), merge(head, o)) for tail, o in tails)
+            elif head in canonical:  # else no merge with head can be
+                for tail, o in tails:
+                    order = merge(head, o)
+                    if order in canonical:
+                        built.append((make(tail), order))
+
+        for v in var_names:
+            attach(partial(Assign, v), (v,), exprs[size - 2])
+        for gsize, bsize in _compositions(size - 1, 2):
+            for guard, order in exprs[gsize]:
+                attach(partial(While, guard), order, cmds[bsize])
+        for first_size, rest_size in _compositions(size - 1, 2):
+            for first, order in plain[first_size]:
+                attach(partial(Seq, first), order, cmds[rest_size])
+        for gsize, tsize, esize in _compositions(size - 1, 3):
+            for guard, order in exprs[gsize]:
+                for then, then_order in cmds[tsize]:
+                    attach(partial(If, guard, then), merge(order, then_order),
+                           cmds[esize])
+        cmds[size] = built
+        plain[size] = [pair for pair in built if not isinstance(pair[0], Seq)]
+
+    return [
+        Program(body, var_names[0])
+        for built in cmds.values()
+        for body, order in built
+        if order in canonical
+    ]
 
 
 def _compositions(total: int, parts: int):

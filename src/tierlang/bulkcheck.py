@@ -10,16 +10,34 @@ gets one boolean tensor indexed by every knob at once:
     expressions  axes (g_1, .., g_k, inner, outer, result)
 
 where g_i ranges over the tier of the i-th stock variable and every axis
-has cap+1 points.  A cell is True when the judgement holds.  The typing
-rules become a handful of numpy operations per node (pointwise AND,
-running OR along a tier axis for the lifting rule, diagonals where a rule
-reuses one tier in two roles), and tensors are kept in broadcastable form
-so subtrees that ignore a variable pay nothing for its axis.
+has cap+1 points.  A cell is True when the judgement holds.  Tensors are
+kept in broadcastable form, so subtrees that ignore a variable pay nothing
+for its axis.
+
+Tensors are small and the calls many, so the cost per node is mostly
+the number of numpy calls.  The axis orders and the tensors that do not
+depend on a program (variables, nullary operators, skip, the tier side
+conditions) are built once per engine.  What is left per node:
+
+    unary operator   AND, running OR down the result axis, and one more
+                     AND for a positive operator
+    assignment       AND, `any` over the result axis, transpose, AND
+    sequence         AND
+    conditional      transpose, two ANDs, running OR up the tier axis (the
+                     lifting rule)
+    loop             broadcast, diagonal (the body's tier = inner), two
+                     transposes, an index, two ANDs, running OR; sealing
+                     takes the diagonal where the premises' outer channel
+                     equals the loop tier, a transpose and a running OR,
+                     written into outer 0
 
 The tensors say exactly what `bruteforce.derivable` says judgement by
-judgement; tests check that on random programs.  Only the fragment the
-exhaustive family needs is supported: no oracle calls, operators of arity
-at most one.
+judgement; tests check that on sampled family programs at caps 2 and 3.
+Only the fragment the exhaustive family needs is supported: no oracle
+calls, operators of arity at most one.  `cmd_mask` and `expr_mask`
+recurse once per nesting level and per `;` link, two frames a command, so
+at the default recursion limit they take about 490 levels of commands and
+990 of nested operator applications.
 """
 
 from __future__ import annotations
@@ -60,31 +78,41 @@ class BulkTyping:
         self.ndim = n + 3
         # Positional axes after the gamma block: commands use (t, in, out),
         # expressions use (in, out, result).
-        self.ax_a = n
-        self.ax_b = n + 1
-        self.ax_c = n + 2
-        self._grids: dict[int, np.ndarray] = {}
+        a, b, c = self.ax_a, self.ax_b, self.ax_c = n, n + 1, n + 2
+        # `transpose` orders, built once.  The first rebases an expression
+        # tensor so its result tier sits on the command tier axis and the
+        # channels line up; the second swaps the last two axes of a tensor
+        # one axis short, which brings a diagonal (appended last) back to
+        # the tier position.
+        gammas = tuple(range(n))
+        self._expr_to_cmd = gammas + (c, a, b)
+        self._swap_last = gammas + (b, a)
+
+        # Constant tensors.  On command axes a and c are the tier and the
+        # outer channel; on expression axes they are the inner channel and
+        # the result.
+        grids = []
+        for axis in range(self.ndim):
+            shape = [1] * self.ndim
+            shape[axis] = self.d
+            grids.append(np.arange(self.d).reshape(shape))
+        self._everything = np.ones((1,) * self.ndim, dtype=bool)
+        self._is_var = {v: grids[i] == grids[c] for v, i in self.var_axis.items()}
+        self._at_most_inner = grids[c] <= grids[a]
+        self._below_inner = grids[c] < grids[a]
+        # An assignment's target tier is at most the value's result tier,
+        # and at most the command tier.
+        self._target_fits = {
+            v: (grids[i] <= grids[c], grids[i] <= grids[a])
+            for v, i in self.var_axis.items()
+        }
+        # The plain loop rule's side condition 1 <= loop tier <= outer.
+        self._plain_loop = (grids[a] >= 1) & (grids[a] <= grids[c])
+
         # Keyed by id(node); each entry keeps its node alive, so that the
         # id cannot pass to another node while the entry exists.
         self._expr_memo: dict[int, tuple[Expr, np.ndarray]] = {}
         self._cmd_memo: dict[int, tuple[Cmd, np.ndarray]] = {}
-
-    def _grid(self, axis: int) -> np.ndarray:
-        g = self._grids.get(axis)
-        if g is None:
-            shape = [1] * self.ndim
-            shape[axis] = self.d
-            g = np.arange(self.d).reshape(shape)
-            self._grids[axis] = g
-        return g
-
-    def _material(self, m: np.ndarray, *axes: int) -> np.ndarray:
-        """View with the given axes broadcast to full length, as diagonals
-        and running ORs need them."""
-        shape = list(m.shape)
-        for ax in axes:
-            shape[ax] = self.d
-        return np.broadcast_to(m, shape)
 
     @staticmethod
     def _or_upto(m: np.ndarray, axis: int) -> np.ndarray:
@@ -92,30 +120,27 @@ class BulkTyping:
         return np.logical_or.accumulate(m, axis=axis)
 
     @staticmethod
-    def _or_from(m: np.ndarray, axis: int) -> np.ndarray:
-        """Cell i becomes OR of cells i..end: results may drop below an
-        argument tier."""
-        rev = np.flip(m, axis=axis)
-        return np.flip(np.logical_or.accumulate(rev, axis=axis), axis=axis)
+    def _or_from_last(m: np.ndarray) -> np.ndarray:
+        """Along the last axis, cell i becomes OR of cells i..end: results
+        may drop below an argument tier."""
+        return np.logical_or.accumulate(m[..., ::-1], axis=-1)[..., ::-1]
 
     def expr_mask(self, e: Expr) -> np.ndarray:
         hit = self._expr_memo.get(id(e))
         if hit is not None:
             return hit[1]
-        inner, result = self._grid(self.ax_a), self._grid(self.ax_c)
         if isinstance(e, Var):
-            mask = self._grid(self.var_axis[e.name]) == result
+            mask = self._is_var[e.name]
         elif isinstance(e, OpApp):
             spec = self.registry.lookup(e.op)
             positive = isinstance(spec.classification, Positive)
             if spec.arity == 0:
-                mask = result < inner if positive else result <= inner
+                mask = self._below_inner if positive else self._at_most_inner
             elif spec.arity == 1:
                 arg = self.expr_mask(e.args[0])
-                ok = arg & (result <= inner)
-                mask = self._or_from(self._material(ok, self.ax_c), self.ax_c)
+                mask = self._or_from_last(arg & self._at_most_inner)
                 if positive:
-                    mask = mask & (result < inner)
+                    mask = mask & self._below_inner
             else:
                 raise NotImplementedError(
                     f"bulk summaries cover arity <= 1, not {e.op}"
@@ -127,71 +152,50 @@ class BulkTyping:
         self._expr_memo[id(e)] = (e, mask)
         return mask
 
-    def _expr_as_cmd_axes(self, m: np.ndarray) -> np.ndarray:
-        """Rebase an expression tensor so its result tier sits on the
-        command tier axis and the channels line up."""
-        a, b, c = self.ax_a, self.ax_b, self.ax_c
-        return np.moveaxis(m, (a, b, c), (b, c, a))
-
     def cmd_mask(self, c: Cmd) -> np.ndarray:
         hit = self._cmd_memo.get(id(c))
         if hit is not None:
             return hit[1]
-        tier = self._grid(self.ax_a)
-        mask = self._build_cmd(c, tier)
+        mask = self._build_cmd(c)
         self._cmd_memo[id(c)] = (c, mask)
         return mask
 
-    def _build_cmd(self, c: Cmd, tier: np.ndarray) -> np.ndarray:
+    def _build_cmd(self, c: Cmd) -> np.ndarray:
         a, b_ax, c_ax = self.ax_a, self.ax_b, self.ax_c
         if isinstance(c, Skip):
-            return np.ones((1,) * self.ndim, dtype=bool)
+            return self._everything
         if isinstance(c, Assign):
-            target = self._grid(self.var_axis[c.target])
-            value = self.expr_mask(c.value)
-            fits = value & (target <= self._grid(c_ax))
+            below_value, below_tier = self._target_fits[c.target]
+            fits = self.expr_mask(c.value) & below_value
             some = fits.any(axis=c_ax, keepdims=True)
-            return self._expr_as_cmd_axes(some) & (target <= tier)
+            return some.transpose(self._expr_to_cmd) & below_tier
         if isinstance(c, Seq):
             return self.cmd_mask(c.first) & self.cmd_mask(c.rest)
         if isinstance(c, If):
-            guard = self._expr_as_cmd_axes(self.expr_mask(c.guard))
+            guard = self.expr_mask(c.guard).transpose(self._expr_to_cmd)
             both = guard & self.cmd_mask(c.then) & self.cmd_mask(c.orelse)
-            return self._or_upto(self._material(both, a), a)
+            return self._or_upto(both, a)
         if isinstance(c, While):
-            guard = self.expr_mask(c.guard)
-            body = self.cmd_mask(c.body)
-            positive = self._grid(a) >= 1
-
             # Plain rule: guard at the loop tier, body channels (tier, out),
-            # and the loop tier at most the outer channel.  The tier in two
-            # roles makes the body slice a diagonal.
-            body_diag = np.diagonal(self._material(body, a, b_ax), axis1=a, axis2=b_ax)
-            # Diagonal moves to the last axis: now (gammas, out, loop tier).
-            body_plain = np.expand_dims(
-                np.moveaxis(body_diag, (a, a + 1), (b_ax, a)), b_ax
-            )
-            guard_plain = self._expr_as_cmd_axes(guard)
-            plain = guard_plain & body_plain & positive & (
-                self._grid(a) <= self._grid(c_ax)
-            )
-            plain = self._or_upto(self._material(plain, a), a)
+            # and 1 <= loop tier <= the outer channel.  The tier in two roles
+            # makes the body slice a diagonal, which `diagonal` appends
+            # last: (gammas, out, loop tier), swapped to (gammas, loop tier,
+            # out) and given back an inner axis.
+            body = self.cmd_mask(c.body)
+            full = body.shape[:a] + (self.d, self.d) + body.shape[c_ax:]
+            body_diag = np.broadcast_to(body, full).diagonal(0, a, b_ax)
+            body_plain = body_diag.transpose(self._swap_last)
+            guard = self.expr_mask(c.guard).transpose(self._expr_to_cmd)
+            premises = guard & body_plain[..., None, :] & self._plain_loop
+            plain = self._or_upto(premises, a)
 
-            # Sealing rule, conclusion outer tier 0: guard's outer channel
-            # and all three body channels equal the loop tier.
-            guard_diag = np.diagonal(
-                self._material(guard, b_ax, c_ax), axis1=b_ax, axis2=c_ax
-            )
-            guard_seal = np.moveaxis(guard_diag, (a, a + 1), (b_ax, a))
-            body_seal = np.diagonal(
-                self._material(body_diag, a, a + 1), axis1=a, axis2=a + 1
-            )
-            body_seal = np.expand_dims(body_seal, b_ax)
-            sealed = guard_seal & body_seal & np.squeeze(positive, c_ax)
-            sealed = self._or_upto(self._material(sealed, a), a)
-            seal_full = np.expand_dims(sealed, c_ax) & (self._grid(c_ax) == 0)
-
-            return plain | seal_full
+            # Sealing rule, conclusion outer tier 0: the guard's outer
+            # channel and all three body channels equal the loop tier, which
+            # is where the plain premises meet outer = loop tier.  The plain
+            # rule leaves outer 0 empty, so sealing fills it.
+            sealed = premises.diagonal(0, a, c_ax).transpose(self._swap_last)
+            plain[..., 0] = self._or_upto(sealed, a)
+            return plain
         raise TypeError(f"not a command: {c!r}")
 
     def typable(self, program: Program) -> bool:

@@ -6,6 +6,12 @@ check, 2 parse or usage error (bad input, missing oracle, a program too
 long or too deeply nested for the command), 3 run stuck on a bad guard,
 4 fuel exhausted.
 
+`--max-tier` takes 0 to `MAX_TIER` (10,000).  No least typing needs a
+tier above the program size, which is the default cap, and a larger cap
+only grows the `--emit-cnf` instance (cap + 1 clauses per record and per
+edge).  A value above the limit is a usage error, raised before anything
+is printed or written.
+
 `check` and `infer` serialize the tree for `--emit-derivation` before they
 print or write anything.  JSON nests one object per tree level, and at the
 default recursion limit a tree more than about 490 levels deep (such as a
@@ -57,6 +63,8 @@ EXIT_UNTYPABLE = 1
 EXIT_PARSE = 2
 EXIT_STUCK = 3
 EXIT_FUEL = 4
+
+MAX_TIER = 10_000
 
 
 def _read_program(path: str):
@@ -127,6 +135,13 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _tier_cap(args) -> int | None:
+    """The --max-tier value, refused above MAX_TIER."""
+    if args.max_tier is not None and args.max_tier > MAX_TIER:
+        raise ValueError(f"--max-tier {args.max_tier} is above the limit {MAX_TIER}")
+    return args.max_tier
+
+
 def _load_oracle(path: str | None) -> TableOracle | None:
     if path is None:
         return None
@@ -152,7 +167,7 @@ def cmd_check(args) -> int:
     program = _read_program(args.source)
     gamma = _parse_gamma(args.gamma) if args.gamma else {}
     triple = _parse_triple(args.triple)
-    derivation = check(program, gamma, triple, t_max=args.max_tier)
+    derivation = check(program, gamma, triple, t_max=_tier_cap(args))
     ok = derivation is not None
     tree = None
     if ok and args.emit_derivation:
@@ -171,7 +186,7 @@ def cmd_check(args) -> int:
 
 def cmd_infer(args) -> int:
     program = _read_program(args.source)
-    result = infer(program, t_max=args.max_tier)
+    result = infer(program, t_max=_tier_cap(args))
     tree = None
     if result is not None and args.emit_derivation:
         tree = _derivation_text(result.derivation)
@@ -241,11 +256,12 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"negative fuel {args.fuel}")
     if args.trials < 0:
         raise ValueError(f"negative trial count {args.trials}")
+    t_max = _tier_cap(args)
     seed = _seed(args)
     if args.sweep:
         scales = _parse_range(args.sweep)
         oracle = _load_oracle(args.oracle)
-    result = infer(program, t_max=args.max_tier, with_derivation=False)
+    result = infer(program, t_max=t_max, with_derivation=False)
     if result is None:
         print(
             "warning: program is untypable; measurements carry no guarantees",

@@ -27,10 +27,12 @@ they take programs of any length and depth.  `pretty_cmd` prints a `;`
 chain with a loop.  What still recurses: the parser and the printer on
 `if`/`while` nesting and on expressions, the dataclass `repr`, and the
 JSON export, which `json` itself would refuse past about 990 levels.
-Outside this module, constraint generation in `inference` and the
-reference engines in `bruteforce` and `bulkcheck` recurse on the tree as
-the typing rules are written, and the compiler in `semantics` recurses on
-nesting.
+Outside this module, constraint generation in `inference` recurses on
+the tree as the typing rules are written, and the compiler in `semantics`
+recurses on nesting.  The reference engines in `bruteforce` and
+`bulkcheck` recurse as well; they are meant for small programs, and their
+docstrings state the depth they take (about 490 or 990 levels at the
+default recursion limit).
 """
 
 from __future__ import annotations

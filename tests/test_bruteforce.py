@@ -4,6 +4,8 @@ typability engine, cross-checked against each other and the solver."""
 import itertools
 import random
 
+import pytest
+
 from tierlang.bruteforce import (
     derivable,
     enumerate_family,
@@ -16,14 +18,20 @@ from tierlang.bulkcheck import BulkTyping
 from tierlang.inference import typable
 from tierlang.operators import builtin_registry
 from tierlang.syntax import (
+    Assign,
+    If,
     OpApp,
     OracleCall,
+    Seq,
     Var,
+    While,
     parse,
     pretty,
     program_size,
     variables_of,
 )
+
+from . import reference_family
 
 REG = builtin_registry()
 
@@ -81,6 +89,20 @@ def test_family_counts_are_stable():
         [1, 1, 5, 15, 60, 233, 955]
 
 
+@pytest.mark.parametrize("size, stock, count", [
+    (10, {}, 17208),
+    (9, {"var_names": ("x", "y"), "op_names": ("pred", "eps", "lmin")}, 3128),
+], ids=["default-stock", "nullary-and-binary"])
+def test_family_matches_the_build_everything_reference(size, stock, count):
+    # Same programs in the same order as building every candidate and
+    # walking each one with `variables_of`.
+    family = enumerate_family(size, **stock)
+    reference = reference_family.enumerate_family(size, **stock)
+    assert len(family) == len(reference) == count
+    for i, (p, q) in enumerate(zip(family, reference)):
+        assert p == q, (i, pretty(p), pretty(q))
+
+
 def test_family_members_are_canonical():
     stock = ("x", "y", "z")
     seen = set()
@@ -93,21 +115,31 @@ def test_family_members_are_canonical():
         seen.add(p)
 
 
-def test_bulk_engine_matches_reference_pointwise():
+@pytest.mark.parametrize("cap, per_kind", [(2, 20), (3, 10)], ids=["cap2", "cap3"])
+def test_bulk_engine_matches_reference_pointwise(cap, per_kind):
     import numpy as np
 
+    # A seeded sample from the size-9 family with every root rule in it.
     rng = random.Random(3)
-    sample = rng.sample(enumerate_family(8), 40)
-    cap = 2
+    by_root: dict[type, list] = {}
+    for p in enumerate_family(9):
+        by_root.setdefault(type(p.body), []).append(p)
+    assert {Assign, Seq, If, While} <= by_root.keys()
+    sample = [p for kind in (Assign, Seq, If, While)
+              for p in rng.sample(by_root[kind], per_kind)]
     engine = BulkTyping(cap)
-    shape = tuple([cap + 1] * (len(engine.vars) + 3))
+    n = len(engine.vars)
+    shape = (cap + 1,) * (n + 3)
+    tiers = range(cap + 1)
     for p in sample:
         mask = np.broadcast_to(engine.cmd_mask(p.body), shape)
-        for idx in itertools.product(range(cap + 1), repeat=len(shape)):
-            gamma = dict(zip(engine.vars, idx))
-            t, i, o = idx[-3], idx[-2], idx[-1]
-            want = derivable(p.body, gamma, t, i, o, REG)
-            assert bool(mask[idx]) == want, (pretty(p), idx)
+        for env in itertools.product(tiers, repeat=n):
+            gamma = dict(zip(engine.vars, env))
+            memo: dict = {}
+            expr_memo: dict = {}
+            for triple in itertools.product(tiers, repeat=3):
+                want = derivable(p.body, gamma, *triple, REG, memo, expr_memo)
+                assert bool(mask[env + triple]) == want, (pretty(p), env, triple)
 
 
 def test_typing_table_lists_every_success():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import tierlang
-from tierlang.cli import main
+from tierlang.cli import MAX_TIER, main
 from tierlang.inference import ClauseSet, solve_2sat
 from tierlang.syntax import parse
 
@@ -80,6 +80,32 @@ def test_bad_numbers_and_names_are_usage_errors(argv, add_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     _assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--triple", "1,1,0", "--emit-derivation", "out.json"],
+    ["infer", "--emit-cnf", "out.cnf", "--emit-derivation", "out.json"],
+    ["analyze", "--sweep", "1:3", "--plot-data", "out.tsv", "--ni", "--trials", "5"],
+], ids=["check", "infer", "analyze"])
+@pytest.mark.parametrize("cap", [MAX_TIER + 1, 10**20])
+def test_max_tier_above_the_limit_is_a_usage_error(argv, cap, add_file, tmp_path,
+                                                   capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], add_file, *argv[1:], "--max-tier", str(cap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-tier {cap} is above the limit 10000\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["add.tier"]
+
+
+def test_max_tier_at_the_limit_keeps_the_typing(add_file, capsys):
+    assert main(["infer", add_file]) == 0
+    default = capsys.readouterr().out
+    assert main(["infer", add_file, "--max-tier", str(MAX_TIER)]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["check", add_file, "--gamma", "x=1,y=0", "--triple", "1,1,0",
+                 "--max-tier", str(MAX_TIER)]) == 0
+    assert capsys.readouterr().out == "typable at the given judgement\n"
 
 
 @pytest.mark.parametrize("gamma, message", [
