@@ -190,27 +190,36 @@ def program_derivable(
     return derivable(program.body, gamma, tier, inner, outer, registry)
 
 
+def _judgements(
+    program: Program,
+    cap: int,
+    registry: Registry | None,
+    cmd_tiers: range,
+):
+    """Each (environment, triple) with tiers <= cap and the command tier in
+    `cmd_tiers` that types the program, one environment at a time."""
+    if registry is None:
+        registry = DEFAULT_REGISTRY
+    names = variables_of(program)
+    channels = range(cap + 1)
+    for values in itertools.product(channels, repeat=len(names)):
+        gamma = dict(zip(names, values))
+        memo: dict = {}
+        expr_memo: dict = {}
+        for triple in itertools.product(cmd_tiers, channels, channels):
+            if derivable(program.body, gamma, *triple, registry, memo, expr_memo):
+                yield gamma, triple
+
+
 def typable_bounded(
     program: Program,
     cap: int,
     registry: Registry | None = None,
 ) -> bool:
-    """Does any environment and triple with tiers <= cap type the program?"""
-    if registry is None:
-        registry = DEFAULT_REGISTRY
-    names = variables_of(program)
-    body = program.body
-    for values in itertools.product(range(cap + 1), repeat=len(names)):
-        gamma = dict(zip(names, values))
-        memo: dict = {}
-        expr_memo: dict = {}
-        for inner in range(cap + 1):
-            for outer in range(cap + 1):
-                if derivable(
-                    body, gamma, cap, inner, outer, registry, memo, expr_memo
-                ):
-                    return True
-    return False
+    """Does any environment and triple with tiers <= cap type the program?
+
+    Only command tier `cap` is tried: lifting makes it the most permissive."""
+    return any(_judgements(program, cap, registry, range(cap, cap + 1)))
 
 
 def typing_table(
@@ -220,24 +229,10 @@ def typing_table(
 ) -> frozenset[tuple[tuple[tuple[str, int], ...], tuple[int, int, int]]]:
     """Every (environment, triple) pair with tiers <= cap that types the
     program.  Environments are rendered as sorted item tuples."""
-    if registry is None:
-        registry = DEFAULT_REGISTRY
-    names = variables_of(program)
-    body = program.body
-    found = set()
-    for values in itertools.product(range(cap + 1), repeat=len(names)):
-        gamma = dict(zip(names, values))
-        memo: dict = {}
-        expr_memo: dict = {}
-        frozen = tuple(sorted(gamma.items()))
-        for tier in range(cap + 1):
-            for inner in range(cap + 1):
-                for outer in range(cap + 1):
-                    if derivable(
-                        body, gamma, tier, inner, outer, registry, memo, expr_memo
-                    ):
-                        found.add((frozen, (tier, inner, outer)))
-    return frozenset(found)
+    return frozenset(
+        (tuple(sorted(gamma.items())), triple)
+        for gamma, triple in _judgements(program, cap, registry, range(cap + 1))
+    )
 
 
 def enumerate_family(

@@ -258,9 +258,9 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"negative trial count {args.trials}")
     t_max = _tier_cap(args)
     seed = _seed(args)
+    oracle = _load_oracle(args.oracle)
     if args.sweep:
         scales = _parse_range(args.sweep)
-        oracle = _load_oracle(args.oracle)
     result = infer(program, t_max=t_max, with_derivation=False)
     if result is None:
         print(

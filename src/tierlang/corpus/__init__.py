@@ -50,19 +50,7 @@ def load_corpus() -> tuple[CorpusEntry, ...]:
     entries = []
     for raw in manifest["entries"]:
         triple = raw["triple"]
-        entries.append(
-            CorpusEntry(
-                name=raw["name"],
-                file=raw["file"],
-                typable=raw["typable"],
-                t_max=raw["t_max"],
-                gamma=raw["gamma"],
-                triple=tuple(triple) if triple is not None else None,
-                degree=raw["degree"],
-                scale_vars=tuple(raw["scale_vars"]),
-                lr_bound=raw["lr_bound"],
-                ni=raw["ni"],
-                notes=raw["notes"],
-            )
-        )
+        raw["triple"] = tuple(triple) if triple is not None else None
+        raw["scale_vars"] = tuple(raw["scale_vars"])
+        entries.append(CorpusEntry(**raw))
     return tuple(entries)

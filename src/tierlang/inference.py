@@ -22,13 +22,16 @@ treats top-level loops exactly like nested ones.
 
 Every fact is a difference constraint tier[b] >= tier[a] + w with w in
 {0, 1}, plus lower and upper pins, so the pointwise least typing is a
-longest-path fixpoint (CLRS 24.4).  `least_tiers` records the facts as
-weighted edges, finds the strongly connected components, and rejects the
-program if an edge of weight 1 lies inside one.  Otherwise each record's
-least tier is its longest path from the lower pins, computed over the
-components in topological order, and the typing exists exactly when no
-record then exceeds its upper pin or t_max.  `infer`, `typable` and the
-checker in `tiers` all solve this way.
+longest-path fixpoint (CLRS 24.4).  One builder, `_constraints`, checks the
+knobs, fixes the tier cap and the mode, and has `_rules` record the facts
+in a fresh `_Graph` as weighted edges; `least_tiers` and `encode` both
+start from it.  `least_tiers` finds the strongly connected components and
+rejects the program if an edge of weight 1 lies inside one.  Otherwise
+each record's least tier is its longest path from the lower pins, computed
+over the components in topological order, and the typing exists exactly
+when no record then exceeds its upper pin or t_max.  The `TierSolution` it
+returns keeps the graph it solved.  `infer`, `typable` and the checker in
+`tiers` all solve through `least_tiers`.
 
 `encode` expands the same graph into 2-SAT over threshold bits, kept as an
 export and as the cross-check oracle in the tests.  Each record gets t_max+1
@@ -50,6 +53,7 @@ greatest one exists: greatest in "at most" bits is least in tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .operators import DEFAULT_REGISTRY, Positive, Registry
 from .syntax import (
@@ -103,17 +107,28 @@ class ClauseSet:
         return len(self.clauses)
 
 
-@dataclass
-class Encoding:
-    """A tier-typing problem compiled to clauses, with its symbol table."""
+class _Records(NamedTuple):
+    """What `_rules` returns: the record of each variable, the node table
+    and the records of the two root channels."""
 
-    program: Program
-    t_max: int
-    clause_set: ClauseSet
     var_records: dict[str, int]
     nodes: list[Row]
     root_in: int
     root_out: int
+
+
+def _bit(record: int, i: int, t_max: int) -> int:
+    """DIMACS variable for "tier of record <= i" under tier cap `t_max`."""
+    return record * (t_max + 1) + i + 1
+
+
+@dataclass
+class Encoding:
+    """A tier-typing problem compiled to clauses, with its symbol table."""
+
+    t_max: int
+    clause_set: ClauseSet
+    records: _Records
     outer_zero: bool
     record_names: list[str]
 
@@ -121,7 +136,7 @@ class Encoding:
         """DIMACS variable for "tier of record <= i"."""
         if not 0 <= i <= self.t_max:
             raise IndexError(f"threshold {i} outside 0..{self.t_max}")
-        return record * (self.t_max + 1) + i + 1
+        return _bit(record, i, self.t_max)
 
 
 class _Graph:
@@ -210,16 +225,12 @@ class _Graph:
     def threshold_clauses(self) -> ClauseSet:
         """The facts as 2-SAT over threshold bits; see the module docstring."""
         cap = self.cap
-
-        def bit(record: int, i: int) -> int:
-            return record * (cap + 1) + i + 1
-
         clauses = ClauseSet(num_vars=self.num_bool_vars)
         add = clauses.add
         for a, targets in enumerate(self.succ):
             for i in range(cap):
-                add(-bit(a, i), bit(a, i + 1))
-            add(bit(a, cap))
+                add(-_bit(a, i, cap), _bit(a, i + 1, cap))
+            add(_bit(a, cap, cap))
             # `targets` lists strict edges too; a record can have a strict
             # and a plain edge to the same target, so match them by count.
             strict = list(self.strict.get(a, ()))
@@ -227,15 +238,15 @@ class _Graph:
                 if b in strict:
                     strict.remove(b)
                     for i in range(cap):
-                        add(-bit(b, i + 1), bit(a, i))
-                    add(-bit(b, 0))
+                        add(-_bit(b, i + 1, cap), _bit(a, i, cap))
+                    add(-_bit(b, 0, cap))
                 else:
                     for i in range(cap + 1):
-                        add(-bit(b, i), bit(a, i))
+                        add(-_bit(b, i, cap), _bit(a, i, cap))
         for r, t in self.low:
-            add(-bit(r, t - 1))
+            add(-_bit(r, t - 1, cap))
         for r, t in self.high:
-            add(bit(r, t))
+            add(_bit(r, t, cap))
         return clauses
 
 
@@ -288,14 +299,16 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
     return comp
 
 
-def _settle(
+def _constraints(
     program: Program,
     t_max: int | None,
+    registry: Registry | None,
     gamma: dict[str, int] | None,
     triple: tuple[int, int, int] | None,
     outer_zero: bool | None,
-) -> tuple[int, bool]:
-    """Validate the pins and fix the tier cap and the mode."""
+) -> tuple[_Graph, _Records, bool]:
+    """Validate the pins, fix the tier cap and the mode, and feed the typing
+    constraints to a fresh graph; return it, the records and the mode."""
     if t_max is None:
         t_max = program_size(program)
     elif t_max < 0:
@@ -315,7 +328,9 @@ def _settle(
         outer_zero = triple[2] == 0
     elif outer_zero is None:
         outer_zero = True
-    return t_max, outer_zero
+    graph = _Graph(t_max)
+    records = _rules(program, graph, registry, outer_zero, gamma, triple)
+    return graph, records, outer_zero
 
 
 def _rules(
@@ -325,7 +340,7 @@ def _rules(
     outer_zero: bool,
     gamma: dict[str, int] | None,
     triple: tuple[int, int, int] | None,
-) -> tuple[dict[str, int], list[Row], int, int]:
+) -> _Records:
     """Feed the typing constraints of a program to graph `b`; return the
     records of the variables, the node table and the two root channels.
 
@@ -425,24 +440,23 @@ def _rules(
         b.pin_at_most(root_rec, t)
         b.pin(root_in, inner)
         b.pin(root_out, outer)
-    return var_records, nodes, root_in, root_out
+    return _Records(var_records, nodes, root_in, root_out)
 
 
-def _record_names(count: int, records: tuple) -> list[str]:
+def _record_names(count: int, records: _Records) -> list[str]:
     """Legend names of `count` records, rebuilt from what `_rules` returned:
     a variable's record is named after the variable, and a node's record
     after its rule (with the operator or the assigned variable; both loop
     rules give `while`) and its path of part names from the root command."""
-    var_records, nodes, root_in, root_out = records
     names = [""] * count
-    for x, rec in var_records.items():
+    for x, rec in records.var_records.items():
         names[rec] = f"var {x}"
-    names[root_in] = "root inner channel"
-    names[root_out] = "root outer channel"
+    names[records.root_in] = "root inner channel"
+    names[records.root_out] = "root outer channel"
     pending = ["root"]
     # Reversed, the table lists every node before its descendants, last
     # child first; so each node's path is on top of `pending` when it comes.
-    for rule, node, rec, _, _, _ in reversed(nodes):
+    for rule, node, rec, _, _, _ in reversed(records.nodes):
         path = pending.pop()
         if rule == RULE_OP:
             names[rec] = f"op {node.op} at {path}"
@@ -474,21 +488,11 @@ def encode(
     which is an upper bound on any tier a typing can need, and is raised as
     needed to cover pinned values.
     """
-    t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
-    graph = _Graph(t_max)
-    records = _rules(program, graph, registry, outer_zero, gamma, triple)
-    var_records, nodes, root_in, root_out = records
-    return Encoding(
-        program=program,
-        t_max=t_max,
-        clause_set=graph.threshold_clauses(),
-        var_records=var_records,
-        nodes=nodes,
-        root_in=root_in,
-        root_out=root_out,
-        outer_zero=outer_zero,
-        record_names=_record_names(len(graph.succ), records),
+    graph, records, outer_zero = _constraints(
+        program, t_max, registry, gamma, triple, outer_zero
     )
+    names = _record_names(len(graph.succ), records)
+    return Encoding(graph.cap, graph.threshold_clauses(), records, outer_zero, names)
 
 
 def solve_2sat(clause_set: ClauseSet) -> list[bool] | None:
@@ -532,13 +536,15 @@ def solve_2sat(clause_set: ClauseSet) -> list[bool] | None:
 class TierSolution:
     """Concrete tiers, one per record, with the node table whose rows name
     the records of every node; the variable and root channel tiers are
-    read out."""
+    read out.  `graph` is the constraint graph `least_tiers` solved (None
+    from `decode`); `==` and `repr` leave it out."""
 
     var_tiers: dict[str, int]
     tiers: list[int]
     nodes: list[Row]
     root_in: int
     root_out: int
+    graph: _Graph | None = field(default=None, compare=False, repr=False)
 
     @property
     def root_tier(self) -> int:
@@ -568,33 +574,16 @@ def decode(encoding: Encoding, assignment: list[bool]) -> TierSolution:
         return tier
 
     tiers = [tier_of(r) for r in range(len(encoding.record_names))]
-    records = encoding.var_records, encoding.nodes, encoding.root_in, encoding.root_out
-    return _solution(tiers, records)
+    return _solution(tiers, encoding.records)
 
 
-def _solution(tiers: list[int], records: tuple) -> TierSolution:
+def _solution(
+    tiers: list[int], records: _Records, graph: _Graph | None = None
+) -> TierSolution:
     """Read tiers out per record for what `_rules` returned."""
-    var_records, nodes, root_in, root_out = records
-    var_tiers = {x: tiers[r] for x, r in var_records.items()}
-    return TierSolution(var_tiers, tiers, nodes, tiers[root_in], tiers[root_out])
-
-
-def _least(
-    program: Program,
-    *,
-    t_max: int | None,
-    registry: Registry | None,
-    gamma: dict[str, int] | None = None,
-    triple: tuple[int, int, int] | None = None,
-    outer_zero: bool | None = None,
-) -> tuple[_Graph, TierSolution | None]:
-    t_max, outer_zero = _settle(program, t_max, gamma, triple, outer_zero)
-    graph = _Graph(t_max)
-    records = _rules(program, graph, registry, outer_zero, gamma, triple)
-    tiers = graph.solve()
-    if tiers is None:
-        return graph, None
-    return graph, _solution(tiers, records)
+    var_tiers = {x: tiers[r] for x, r in records.var_records.items()}
+    root_in, root_out = tiers[records.root_in], tiers[records.root_out]
+    return TierSolution(var_tiers, tiers, records.nodes, root_in, root_out, graph)
 
 
 def least_tiers(
@@ -611,16 +600,15 @@ def least_tiers(
     Takes the same knobs as `encode`, with `t_max` as the cap on every tier,
     and returns what `decode(encoding, solve_2sat(encoding.clause_set))`
     returns, or None where that instance is unsatisfiable, without building
-    the threshold instance.
+    the threshold instance.  The solution keeps the graph it was solved on.
     """
-    return _least(
-        program,
-        t_max=t_max,
-        registry=registry,
-        gamma=gamma,
-        triple=triple,
-        outer_zero=outer_zero,
-    )[1]
+    graph, records, _ = _constraints(
+        program, t_max, registry, gamma, triple, outer_zero
+    )
+    tiers = graph.solve()
+    if tiers is None:
+        return None
+    return _solution(tiers, records, graph)
 
 
 def to_dimacs(encoding: Encoding) -> str:
@@ -629,9 +617,9 @@ def to_dimacs(encoding: Encoding) -> str:
         f"c tier encoding, t_max={encoding.t_max},"
         f" mode={'outer-zero' if encoding.outer_zero else 'outer-positive'}"
     ]
-    width = encoding.t_max + 1
+    t = encoding.t_max
     for r, name in enumerate(encoding.record_names):
-        lines.append(f"c record {r} vars {r * width + 1}..{(r + 1) * width} {name}")
+        lines.append(f"c record {r} vars {_bit(r, 0, t)}..{_bit(r, t, t)} {name}")
     cs = encoding.clause_set
     lines.append(f"p cnf {cs.num_vars} {len(cs)}")
     lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in cs.clauses)
@@ -644,15 +632,15 @@ def _first_mode(
     t_max: int | None,
     registry: Registry | None,
     gamma: dict[str, int] | None = None,
-) -> tuple[_Graph, TierSolution] | None:
+) -> TierSolution | None:
     """Least tiers in the first mode that types the program, trying the
-    sealed outer channel first, with the graph that was solved."""
+    sealed outer channel first."""
     for outer_zero in (True, False):
-        graph, solution = _least(
+        solution = least_tiers(
             program, t_max=t_max, registry=registry, gamma=gamma, outer_zero=outer_zero
         )
         if solution is not None:
-            return graph, solution
+            return solution
     return None
 
 
@@ -704,10 +692,10 @@ def infer(
     by rule.  `clause_count` and `num_bool_vars` give the size of the
     threshold instance `encode` would build for the successful mode.
     """
-    found = _first_mode(program, t_max=t_max, registry=registry)
-    if found is None:
+    solution = _first_mode(program, t_max=t_max, registry=registry)
+    if solution is None:
         return None
-    graph, solution = found
+    graph = solution.graph
     derivation = None
     if with_derivation:
         from .tiers import derive

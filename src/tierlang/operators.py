@@ -89,7 +89,7 @@ class Registry:
         return r
 
     def __contains__(self, name: str) -> bool:
-        return name in self._specs or literal_word(name) is not None
+        return name in self._specs or is_word(literal_word(name))
 
     def lookup(self, name: str) -> OperatorSpec:
         spec = self._specs.get(name)

@@ -176,10 +176,9 @@ def check_any(
     t_max: int | None = None,
 ) -> tuple[TypedTriple, Derivation] | None:
     """Find some triple at which the program types under a fixed gamma."""
-    found = _first_mode(program, t_max=t_max, registry=registry, gamma=gamma)
-    if found is None:
+    solution = _first_mode(program, t_max=t_max, registry=registry, gamma=gamma)
+    if solution is None:
         return None
-    _, solution = found
     triple = TypedTriple(*solution.triple)
     return triple, derive(solution, triple, registry)
 

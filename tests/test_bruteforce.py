@@ -83,6 +83,12 @@ def test_typable_bounded_matches_solver_on_family():
         assert typable_bounded(p, cap) == typable(p), pretty(p)
 
 
+def test_typable_bounded_agrees_with_typing_table():
+    for p in enumerate_family(6):
+        for cap in (1, 2):
+            assert typable_bounded(p, cap) == bool(typing_table(p, cap)), pretty(p)
+
+
 def test_family_counts_are_stable():
     # canonical-form counts; a change here means the enumerator moved
     assert [len(enumerate_family(s)) for s in range(2, 9)] == \

@@ -383,6 +383,18 @@ def test_analyze_checks_its_options_before_any_output(argv, add_file, tmp_path, 
     assert not plot.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--ni", "--trials", "3"],
+    ["--sweep", "1:3"],
+], ids=["ni", "sweep"])
+def test_analyze_loads_the_oracle_before_any_output(argv, add_file, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["analyze", add_file, *argv, "--oracle", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_analyze_ni(add_file, capsys):
     assert main(["analyze", add_file, "--ni", "--trials", "30"]) == 0
     out = capsys.readouterr().out

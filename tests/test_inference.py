@@ -294,8 +294,9 @@ def test_reported_sizes_match_the_threshold_instance(corpus):
     for entry in corpus.values():
         p = entry.program()
         for outer_zero in (True, False):
-            graph, _ = inference._least(
-                p, t_max=entry.t_max, registry=None, outer_zero=outer_zero
+            graph, _, _ = inference._constraints(
+                p, t_max=entry.t_max, registry=None, gamma=None, triple=None,
+                outer_zero=outer_zero,
             )
             enc = encode(p, t_max=entry.t_max, outer_zero=outer_zero)
             assert graph.clause_count == len(enc.clause_set), entry.name

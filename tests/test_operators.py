@@ -11,6 +11,7 @@ from tierlang.operators import (
     Neutral,
     OperatorSpec,
     Positive,
+    UnknownOperator,
     builtin_registry,
     is_subword,
     random_word,
@@ -70,6 +71,16 @@ def test_literal_ops_synthesized_on_lookup(reg):
     assert spec.arity == 0
     assert spec.fn() == "1001"
     assert isinstance(spec.classification, Neutral)
+
+
+def test_membership_agrees_with_lookup(reg):
+    # Literal names are members only when their word is over 0/1.
+    word = literal_op_name("1001")
+    assert word in reg and reg.lookup(word).fn() == "1001"
+    not_a_word = literal_op_name("012")
+    assert not_a_word not in reg
+    with pytest.raises(UnknownOperator):
+        reg.lookup(not_a_word)
 
 
 def test_unknown_operator_raises(reg):
