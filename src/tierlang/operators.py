@@ -10,16 +10,18 @@ operator carries a classification used by the type system:
   a fixed slack.  Every neutral operator is positive with slack 1.
 
 Word literals appearing in source (``3``, ``"101"``) resolve to
-synthesized nullary constants named ``lit:<word>``; the registry
-creates those on demand.  The named constants ``0``, ``1`` and ``eps``
-are ordinary registry entries (``eps()`` is valid source; ``0`` and
-``1`` are reachable through literals).
+synthesized nullary constants named ``lit:<word>``; every registry
+creates those on demand, from one bounded cache, and stores none.  The
+named constants ``0``, ``1`` and ``eps`` are ordinary registry entries
+(``eps()`` is valid source; ``0`` and ``1`` are reachable through
+literals).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .syntax import literal_word
@@ -89,18 +91,13 @@ class Registry:
         return r
 
     def __contains__(self, name: str) -> bool:
-        return name in self._specs or is_word(literal_word(name))
+        return name in self._specs or _literal(name) is not None
 
     def lookup(self, name: str) -> OperatorSpec:
-        spec = self._specs.get(name)
-        if spec is not None:
-            return spec
-        word = literal_word(name)
-        if word is not None and is_word(word):
-            spec = OperatorSpec(name, 0, Neutral(), _Constant(word))
-            self._specs[name] = spec
-            return spec
-        raise UnknownOperator(name)
+        spec = self._specs.get(name) or _literal(name)
+        if spec is None:
+            raise UnknownOperator(name)
+        return spec
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._specs)
@@ -131,6 +128,17 @@ class Registry:
 
     def apply(self, name: str, args: tuple[str, ...]) -> str:
         return self.resolve(name, len(args))(*args)
+
+
+@lru_cache(maxsize=1024)
+def _literal(name: str) -> OperatorSpec | None:
+    """The constant a word-literal name stands for, or None.  Every registry
+    synthesizes the same one, and none stores it, so no table grows with
+    the literals it has seen."""
+    word = literal_word(name)
+    if word is not None and is_word(word):
+        return OperatorSpec(name, 0, Neutral(), _Constant(word))
+    return None
 
 
 class _Constant:
@@ -199,8 +207,8 @@ def builtin_registry() -> Registry:
 
 
 # The table every entry point falls back on when given no registry.  It is
-# shared, so only its cache of word-literal constants ever grows; callers
-# that want to extend a table start from `builtin_registry()` instead.
+# shared and never changes; callers that want to extend a table start from
+# `builtin_registry()` instead.
 DEFAULT_REGISTRY = builtin_registry()
 
 

@@ -11,16 +11,23 @@ implicit sequencing node of the unrolling.
 Oracle queries always pass through truncate-pad, so the queried word
 has length exactly |bound| + 1 and is never empty.
 
-`run_program` compiles the program body into nested closures over one
-step counter and the run's store dict, so a step costs a closure call
-instead of a type dispatch and a registry lookup.  It compiles once per
-program and registry, not once per run: the compiled runners are pooled
-on the program, and each run binds its store, fuel, oracle and query log
-into the closures when it starts and drops them when it ends, so no state
-survives a run.  The closures tick in the order of the derivation and
-check the fuel after every tick.  A right-nested chain of `;` runs as one
-loop, so the Python call depth follows the nesting of the program, not
-its length.
+`run_program` compiles the program body to the source of Python
+functions, so a step costs a few bytecodes instead of a closure call, a
+type dispatch or a registry lookup.  Expressions become three-address
+code, where each node stores its word in a temporary that it shares with
+its first argument; the builtins are inlined, and a run of ticks that
+nothing between them can interrupt is charged with one addition and one
+fuel check.  Every point that may raise or call outside code, and every
+loop iteration, checks the fuel first, so the steps, the errors and the
+query log are those of the derivation at every fuel.  The source names
+no variable, operator or word of the program; they are bound through the
+namespace the source is executed in.  A compound command nested
+`_LEVELS` deep within one function becomes a function of its own, and
+the emitter walks the tree with an explicit stack: a program of any
+length compiles and runs, and a run needs one Python frame per `_LEVELS`
+levels of nesting.  The result is compiled once per program and registry
+and kept on the program; it keeps all run state in its frame, so it is
+reentrant and threads may share it.
 
 Words are validated where they enter: input bindings (`Store`), table
 rows (`TableOracle`), oracle answers, and results of operators that are
@@ -35,7 +42,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .operators import DEFAULT_REGISTRY, Registry, is_word
+from .operators import _BUILTINS, DEFAULT_REGISTRY, Registry, _Constant, is_word
 from .syntax import (
     Assign, Cmd, Expr, If, OpApp, OracleCall, Program, Seq, Skip, Var, While,
 )
@@ -243,220 +250,264 @@ class RunResult:
 # bound keeps the per-step comparison cheap.
 _UNLIMITED = sys.maxsize
 
-# The attribute of a Program that holds its pool of compiled runners.
-_RUNNERS = "_runners"
+# The attribute of a Program that holds its compiled function.
+_COMPILED = "_compiled"
+
+# A generated function holds at most this many levels of nested compound
+# commands; a deeper one becomes a function of its own.  CPython allows 20
+# statically nested blocks per function, and each `while` is one.
+_LEVELS = 16
+
+# The builtins as Python expressions over their argument temporaries, keyed
+# by the builtin function itself, so an operator is inlined only when the
+# registry resolves it to a builtin, whatever its name.  A predicate is
+# also written as the condition under which it gives 1: a guard made of
+# one needs no word and is never stuck.
+_CONDITIONS = {"eq": "{0} == {1}", "gt0": "{0}", "geq": "len({0}) >= len({1})"}
+_TEMPLATES = {
+    "pred": "{0}[1:]", "suc0": "'0' + {0}", "suc1": "'1' + {0}",
+    "lmin": "{0} if len({0}) < len({1}) else {1}",
+    "maxlen": "{0} if len({0}) > len({1}) else {1}",
+    **{name: f"'1' if {test} else '0'" for name, test in _CONDITIONS.items()},
+}
+_INLINE = {s.fn: _TEMPLATES[s.name] for s in _BUILTINS if s.name in _TEMPLATES}
+_TESTS = {s.fn: _CONDITIONS[s.name] for s in _BUILTINS if s.name in _CONDITIONS}
 
 
-def _compile(p: Program, registry: Registry
-             ) -> Callable[[dict[str, str], int | None, Oracle | None,
-                            list[tuple[str, str]]], int]:
-    """Compile ``p`` into a runner ``run(store, budget, oracle, log)`` that
-    runs it on the store's dict under the fuel ``budget``, appends each
-    oracle query and answer to ``log``, and returns the step total.
+def _ask(answer_of: Callable[[str], str] | None, record: Callable, name: str,
+         v: str, bound: str) -> str:
+    """One oracle query, made once its step is charged and checked."""
+    if answer_of is None:
+        raise OracleRequired(name)
+    query = truncate_pad(v, bound)
+    answer = answer_of(query)
+    if not is_word(answer):
+        raise ValueError(f"oracle answered a non-word: {answer!r}")
+    record((query, answer))
+    return answer
 
-    Each node becomes one closure that evaluates its children, ticks the
-    shared step counter once per rule application and checks the fuel
-    after every tick, in the order of the derivation.  Errors that depend
-    on a node (an unknown operator, a wrong arity, a missing oracle) are
-    raised when that node is evaluated, never at compile time.  The runner
-    can be called any number of times, though not while it is running: it
-    binds the run's state into the closures' cells when it starts and
-    drops the store, the oracle and the query log when it ends.
+
+class _Emitter:
+    """Writes the Python source of one program's functions.
+
+    Every method that emits a node is a generator: it yields the emitters
+    of the parts that must be written first, and `_compile` runs them from
+    an explicit stack, so neither the length nor the depth of a program
+    reaches the Python stack.  Ticks not yet added to ``s`` are counted
+    in ``pending``.
     """
-    steps = 0
-    limit = fuel = None
-    data = get = answer_of = record = None
 
-    def expr(e: Expr) -> Callable[[], str]:
-        if isinstance(e, Var):
-            name = e.name
+    def __init__(self, registry: Registry):
+        self.registry = registry
+        self.namespace = {"FuelExhausted": FuelExhausted, "StuckGuard": StuckGuard,
+                          "ask": _ask}
+        self.names: dict = {}  # constant -> its name in the namespace
+        self.fns: dict = {}  # (operator, arity) -> its resolved function
+        self.sources: list[str] = []  # the finished functions
+        self.lines: list[str] = []
+        self.indent = self.level = self.pending = 0
+        self.test: str | None = None
 
-            def var() -> str:
-                nonlocal steps
-                steps += 1
-                if steps > limit:
-                    raise FuelExhausted(fuel)
-                return get(name, "")
+    def const(self, value) -> str:
+        """The generated name that binds ``value`` in the namespace, so no
+        name, word or function of the program is written into the source."""
+        name = self.names.get(value)
+        if name is None:
+            name = self.names[value] = f"c{len(self.names)}"
+            self.namespace[name] = value
+        return name
 
-            return var
-        if isinstance(e, OpApp):
-            args = tuple(expr(a) for a in e.args)
-            op, n = e.op, len(args)
+    def line(self, text: str) -> None:
+        self.lines.append(" " * self.indent + text)
+
+    def charge(self) -> None:
+        """Add the pending ticks to ``s``."""
+        if self.pending:
+            self.line(f"s += {self.pending}")
+            self.pending = 0
+
+    def check(self) -> None:
+        """Charge the pending ticks and check the fuel, as every point that
+        may raise or call outside code needs: the steps before it count."""
+        self.charge()
+        self.line("if s > L: raise FuelExhausted(L)")
+
+    def resolve(self, op: str, n: int) -> Callable[..., str]:
+        key = op, n
+        fn = self.fns.get(key)
+        if fn is None:
+            registry = self.registry
             try:
                 fn = registry.resolve(op, n)
             except (KeyError, ValueError):
                 def fn(*words: str) -> str:  # raises again once reached
                     return registry.resolve(op, n)(*words)
-            if n == 0:
-                def app() -> str:
-                    nonlocal steps
-                    steps += 1
-                    if steps > limit:
-                        raise FuelExhausted(fuel)
-                    return fn()
-            elif n == 1:
-                (a,) = args
+            self.fns[key] = fn
+        return fn
 
-                def app() -> str:
-                    nonlocal steps
-                    u = a()
-                    steps += 1
-                    if steps > limit:
-                        raise FuelExhausted(fuel)
-                    return fn(u)
-            elif n == 2:
-                a, b = args
-
-                def app() -> str:
-                    nonlocal steps
-                    u = a()
-                    v = b()
-                    steps += 1
-                    if steps > limit:
-                        raise FuelExhausted(fuel)
-                    return fn(u, v)
+    def expr(self, e: Expr, k: int):
+        """Evaluate ``e`` into the temporary ``t{k}``; its arguments go to
+        ``t{k}``, ``t{k+1}``, ..., so nested calls never appear."""
+        if isinstance(e, Var):
+            self.line(f"t{k} = get({self.const(e.name)}, '')")
+            self.pending += 1
+        elif isinstance(e, OpApp):
+            for i, arg in enumerate(e.args):
+                yield self.expr(arg, k + i)
+            self.pending += 1
+            fn = self.resolve(e.op, len(e.args))
+            args = [f"t{k + i}" for i in range(len(e.args))]
+            if type(fn) is _Constant:
+                self.line(f"t{k} = {self.const(fn.word)}")
+            elif fn in _INLINE:  # total on words: its tick waits
+                self.line(f"t{k} = " + _INLINE[fn].format(*args))
             else:
-                def app() -> str:
-                    nonlocal steps
-                    words = [f() for f in args]
-                    steps += 1
-                    if steps > limit:
-                        raise FuelExhausted(fuel)
-                    return fn(*words)
-            return app
-        if isinstance(e, OracleCall):
-            data_of, bound_of, name = expr(e.data), expr(e.bound), e.name
+                self.check()
+                self.line(f"t{k} = {self.const(fn)}({', '.join(args)})")
+        elif isinstance(e, OracleCall):
+            yield self.expr(e.data, k)
+            yield self.expr(e.bound, k + 1)
+            self.pending += 1
+            self.check()
+            self.line(f"t{k} = ask(ans, rec, {self.const(e.name)}, t{k}, t{k + 1})")
+        else:
+            raise TypeError(f"not an expression: {e!r}")
 
-            def call() -> str:
-                nonlocal steps
-                v = data_of()
-                bound = bound_of()
-                steps += 1
-                if steps > limit:
-                    raise FuelExhausted(fuel)
-                if answer_of is None:
-                    raise OracleRequired(name)
-                query = truncate_pad(v, bound)
-                answer = answer_of(query)
-                if not is_word(answer):
-                    raise ValueError(f"oracle answered a non-word: {answer!r}")
-                record((query, answer))
-                return answer
-
-            return call
-        raise TypeError(f"not an expression: {e!r}")
-
-    def cmd(c: Cmd) -> Callable[[], None]:
+    def cmd(self, c: Cmd):
         if isinstance(c, Skip):
-            def skip() -> None:
-                nonlocal steps
-                steps += 1
-                if steps > limit:
-                    raise FuelExhausted(fuel)
-
-            return skip
-        if isinstance(c, Assign):
-            value, target = expr(c.value), c.target
-
-            def assign() -> None:
-                nonlocal steps
-                v = value()
-                steps += 1
-                if steps > limit:
-                    raise FuelExhausted(fuel)
-                data[target] = v
-
-            return assign
-        if isinstance(c, Seq):
-            # A right-nested chain runs as one loop.  Its seq rules all
-            # apply after its last command, so their ticks come together.
-            parts = []
+            self.pending += 1
+        elif isinstance(c, Assign):
+            yield self.expr(c.value, 0)
+            self.pending += 1
+            self.line(f"d[{self.const(c.target)}] = t0")
+        elif isinstance(c, Seq):
+            # A right-nested chain's seq rules all apply after its last
+            # command, so their ticks come together.
+            links = 0
             while isinstance(c, Seq):
-                parts.append(cmd(c.first))
-                c = c.rest
-            parts.append(cmd(c))
-            parts, ticks = tuple(parts), len(parts) - 1
+                yield self.cmd(c.first)
+                c, links = c.rest, links + 1
+            yield self.cmd(c)
+            self.pending += links
+        elif isinstance(c, (If, While)):
+            if self.level == _LEVELS:
+                yield self.function(c)
+            else:
+                self.level += 1
+                yield self.branch(c) if isinstance(c, If) else self.loop(c)
+                self.level -= 1
+        else:
+            raise TypeError(f"not a command: {c!r}")
 
-            def seq() -> None:
-                nonlocal steps
-                for part in parts:
-                    part()
-                steps += ticks
-                if steps > limit:
-                    raise FuelExhausted(fuel)
+    def guard(self, e: Expr):
+        """Evaluate a guard, and leave in ``test`` the Python condition
+        under which it is 1, or None when it is a word in ``t0`` that may
+        be stuck."""
+        fn = self.resolve(e.op, len(e.args)) if isinstance(e, OpApp) else None
+        if fn in _TESTS:
+            for i, arg in enumerate(e.args):
+                yield self.expr(arg, i)
+            self.pending += 1
+            self.test = _TESTS[fn].format(*(f"t{i}" for i in range(len(e.args))))
+        else:
+            yield self.expr(e, 0)
+            self.test = None
 
-            return seq
-        if isinstance(c, If):
-            guard, then, orelse = expr(c.guard), cmd(c.then), cmd(c.orelse)
+    def stuck(self, before: int) -> None:
+        self.pending = before
+        self.check()
+        self.line("raise StuckGuard(t0)")
 
-            def branch() -> None:
-                nonlocal steps
-                w = guard()
-                if w == "1":
-                    then()
-                elif w == "0":
-                    orelse()
-                else:
-                    raise StuckGuard(w)
-                steps += 1
-                if steps > limit:
-                    raise FuelExhausted(fuel)
+    def branch(self, c: If):
+        yield self.guard(c.guard)
+        before, test = self.pending, self.test
+        heads = ("if t0 == '1':", "elif t0 == '0':") if test is None else (
+            f"if {test}:", "else:")
+        for head, part in zip(heads, (c.then, c.orelse)):
+            self.line(head)
+            self.indent += 1
+            self.pending = before
+            yield self.cmd(part)
+            self.charge()
+            self.indent -= 1
+        if test is None:
+            self.line("else:")
+            self.indent += 1
+            self.stuck(before)
+            self.indent -= 1
+        self.pending = 1
 
-            return branch
-        if isinstance(c, While):
-            guard, body = expr(c.guard), cmd(c.body)
+    def loop(self, c: While):
+        # Charged like the unrolled derivation: one loop rule per test,
+        # plus the seq rule of each unrolled iteration.  Each iteration
+        # checks the fuel, so no loop outruns it.
+        self.charge()
+        self.line("while True:")
+        self.indent += 1
+        yield self.guard(c.guard)
+        before, test = self.pending, self.test
+        self.line("if t0 != '1':" if test is None else f"if not ({test}):")
+        self.indent += 1
+        if test is None:
+            self.line("if t0 != '0':")
+            self.indent += 1
+            self.stuck(before)
+            self.indent -= 1
+        self.pending = before + 1
+        self.charge()
+        self.line("break")
+        self.indent -= 1
+        self.pending = before + 1
+        yield self.cmd(c.body)
+        self.pending += 1
+        self.check()
+        self.indent -= 1
 
-            def loop() -> None:
-                # Charged like the unrolled derivation: one loop rule per
-                # test, plus the seq rule of each unrolled iteration.
-                nonlocal steps
-                while True:
-                    w = guard()
-                    if w == "1":
-                        steps += 1
-                        if steps > limit:
-                            raise FuelExhausted(fuel)
-                        body()
-                        steps += 1
-                        if steps > limit:
-                            raise FuelExhausted(fuel)
-                    elif w == "0":
-                        steps += 1
-                        if steps > limit:
-                            raise FuelExhausted(fuel)
-                        return
-                    else:
-                        raise StuckGuard(w)
+    def function(self, c: Cmd):
+        """Emit ``c`` as a function of its own and call it from here; the
+        ticks pending here are charged in it, as its first ones."""
+        outer = self.lines, self.indent, self.level
+        self.lines, self.indent, self.level = [], 1, 0
+        yield self.cmd(c)
+        self.charge()
+        name = f"f{len(self.sources)}"
+        self.sources.append("\n".join(
+            [f"def {name}(d, s, L, ans, rec):", " get = d.get", *self.lines,
+             " return s"]))
+        self.lines, self.indent, self.level = outer
+        self.line(f"s = {name}(d, s, L, ans, rec)")
 
-            return loop
-        raise TypeError(f"not a command: {c!r}")
 
-    try:
-        body = cmd(p.body)
-    finally:
-        # The two compilers reach each other through their closure cells;
-        # clearing the cells leaves no reference cycle behind.
-        expr = cmd = None  # type: ignore[assignment]
+def _compile(p: Program, registry: Registry) -> Callable[..., int]:
+    """Compile ``p`` into a function ``run(store, 0, limit, answer, record)``
+    that runs its body on the store's dict, passes each oracle query to
+    ``answer`` (None when there is no oracle) and each query and answer
+    to ``record``, and returns the step total of the body.
 
-    def run(store: dict[str, str], budget: int | None, oracle: Oracle | None,
-            log: list[tuple[str, str]]) -> int:
-        nonlocal steps, limit, fuel, data, get, answer_of, record
-        steps, fuel = 0, budget
-        limit = _UNLIMITED if budget is None else budget
-        data, get = store, store.get
-        answer_of = None if oracle is None else oracle.answer
-        record = log.append
-        try:
-            body()
-            steps += 1
-            if steps > limit:
-                raise FuelExhausted(fuel)
-            return steps
-        finally:
-            # A pooled runner keeps no store, oracle or query log alive.
-            data = get = answer_of = record = None
-
-    return run
+    The function is generated as Python source and compiled with
+    `compile`; it keeps all run state in its frame, so it is reentrant
+    and can be shared by threads.  It ticks in the order of the
+    derivation.  A run of ticks that nothing between them can interrupt,
+    variable reads and builtin operators, is charged at once; every call
+    to an oracle or a non-builtin operator, every stuck guard and every
+    loop iteration checks the fuel first.  Errors that depend on a node
+    (an unknown operator, a wrong arity, a missing oracle) are raised when
+    that node is evaluated, never at compile time.
+    """
+    emitter = _Emitter(registry)
+    stack = [emitter.function(p.body)]
+    while stack:
+        part = next(stack[-1], None)
+        if part is None:
+            stack.pop()
+        else:
+            stack.append(part)
+    namespace = emitter.namespace
+    source = "\n\n".join(emitter.sources)
+    exec(compile(source, "<tierlang program>", "exec"), namespace)
+    # Taken out of its namespace, the function of a program shallower than
+    # `_LEVELS` forms no reference cycle with it, so dropping it frees it.
+    return namespace.pop(f"f{len(emitter.sources) - 1}")
 
 
 def run_program(p: Program, inputs: dict[str, str] | None = None,
@@ -468,12 +519,11 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
     count; exceeding it raises FuelExhausted, and a negative one raises
     ValueError.
 
-    The program is compiled once per registry: its runners are pooled on
-    the program object, and each run takes one from the pool, or compiles
-    a new one when the pool is empty, and gives it back when it ends.  So
-    a run nested inside another run of the same program gets a runner of
-    its own.  The pool holds runners for one registry, compared by
-    identity; a run with another registry starts a new pool.
+    The program is compiled on its first run with a registry, and the
+    compiled function is kept on the program object for the next runs
+    with the same registry, compared by identity; a run with another
+    registry compiles anew.  The function keeps no state between runs, so
+    nested runs of one program and runs in several threads share it.
     """
     if fuel is not None and fuel < 0:
         raise ValueError(f"negative fuel {fuel}")
@@ -481,19 +531,17 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
         registry = DEFAULT_REGISTRY
     store = Store(inputs or {})
     trace = ExecutionTrace(initial_store_size=store.size())
-    # The pool lives outside the dataclass fields, so `==`, `hash`, `repr`
-    # and the exports never see it.  It is not keyed by the program, since
-    # hashing a program walks its whole tree.
-    pool = p.__dict__.get(_RUNNERS)
-    if pool is None or pool[0] is not registry:
-        pool = p.__dict__[_RUNNERS] = (registry, [])
-    runners = pool[1]
-    try:
-        run = runners.pop()  # atomic, so threads never share a runner
-    except IndexError:
-        run = _compile(p, registry)
-    try:
-        trace.steps = run(store._data, fuel, oracle, trace.queries)
-    finally:
-        runners.append(run)
+    # The function lives outside the dataclass fields, so `==`, `hash`,
+    # `repr` and the exports never see it.  It is not keyed by the
+    # program, since hashing a program walks its whole tree.
+    compiled = p.__dict__.get(_COMPILED)
+    if compiled is None or compiled[0] is not registry:
+        compiled = p.__dict__[_COMPILED] = (registry, _compile(p, registry))
+    limit = _UNLIMITED if fuel is None else fuel
+    steps = compiled[1](store._data, 0, limit,
+                        None if oracle is None else oracle.answer,
+                        trace.queries.append) + 1  # the program rule
+    if steps > limit:
+        raise FuelExhausted(fuel)
+    trace.steps = steps
     return RunResult(store.get(p.return_var), store, trace)

@@ -149,8 +149,8 @@ class Program(_Node):
 
     def __getstate__(self) -> dict:
         # What other modules cache on a program under a private name (the
-        # interpreter's pool of compiled runners) is not part of it, so
-        # copies and pickles start without.
+        # interpreter's compiled function) is not part of it, so copies and
+        # pickles start without.
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     @property

@@ -1,9 +1,9 @@
 """Slow reference interpreter: a plain tree walker over the AST.
 
-This is the interpreter `run_program` used before programs were compiled
-to closures.  It dispatches on node type at every step and applies
-operators through `Registry.apply`, so it shares no evaluation code with
-the compiled form; the tests run both and require the same values,
+This is the interpreter `run_program` used before programs were
+compiled.  It dispatches on node type at every step and applies operators
+through `Registry.apply`, so it shares no evaluation code with the
+compiled form; the tests run both and require the same values,
 stores, step counts, query traces and exceptions.
 """
 

@@ -17,7 +17,9 @@ from tierlang.operators import (
     random_word,
     validate_classification,
 )
-from tierlang.syntax import literal_op_name
+from tierlang.inference import typable
+from tierlang.semantics import run_program
+from tierlang.syntax import literal_op_name, parse
 
 words = st.text(alphabet="01", max_size=10)
 
@@ -81,6 +83,18 @@ def test_membership_agrees_with_lookup(reg):
     assert not_a_word not in reg
     with pytest.raises(UnknownOperator):
         reg.lookup(not_a_word)
+
+
+def test_literals_leave_the_registries_unchanged():
+    # Each distinct literal once made the shared registry grow by one entry.
+    before, copied = DEFAULT_REGISTRY.names(), DEFAULT_REGISTRY.extended().names()
+    for i in range(300):
+        word = format(i + 2**12, "b")
+        p = parse(f'x := "{word}" return x')
+        assert typable(p)
+        assert run_program(p).value == word
+    assert DEFAULT_REGISTRY.names() == before
+    assert DEFAULT_REGISTRY.extended().names() == copied
 
 
 def test_unknown_operator_raises(reg):

@@ -272,6 +272,26 @@ def test_long_straight_line_program_runs():
     assert res.trace.steps == 3 * n + (n - 1) + 1
 
 
+@pytest.mark.parametrize("nest", ["while", "if"])
+def test_a_deep_nest_runs(nest):
+    # Built as an AST: the parser recurses per nesting level (ROADMAP
+    # item 2).  Compiled with a Python call per level, it would pass the
+    # default recursion limit.
+    depth = 2_000
+    body = Seq(Assign("x", OpApp("pred", (Var("x"),))),
+               Assign("y", OpApp("suc1", (Var("y"),))))
+    for _ in range(depth):
+        guard = OpApp("gt0", (Var("x"),))
+        body = While(guard, body) if nest == "while" else If(guard, body, Skip())
+    res = run_program(Program(body, "y"), {"x": "1"})
+    assert (res.value, res.store.bindings()) == ("1", {"x": "", "y": "1"})
+    # Innermost: 2 guard + 1 loop + 7 body + 1 seq, then 3 for the exit;
+    # each level above adds 2 + 1 + 1 + 3.  An if adds 2 + 1 per level
+    # around 2 + 7 + 1.  One program rule.
+    steps = 7 * depth + 8 if nest == "while" else 3 * depth + 8
+    assert res.trace.steps == steps
+
+
 def test_a_run_leaves_no_reference_cycles():
     p = parse("y := phi(x | x) ; while (gt0(x)) { x := pred(x) } return y")
     oracle = PaddedOracle(TableOracle(default=("echo-length", None)))
