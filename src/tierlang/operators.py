@@ -126,9 +126,6 @@ class Registry:
 
         return checked
 
-    def apply(self, name: str, args: tuple[str, ...]) -> str:
-        return self.resolve(name, len(args))(*args)
-
 
 @lru_cache(maxsize=1024)
 def _literal(name: str) -> OperatorSpec | None:

@@ -17,22 +17,27 @@ and column only when it is raised.  A `;` chain of any length is read with
 a loop, so only nesting costs recursion.
 
 `_PARTS` is the one statement of the tree's shape.  For each node class it
-gives the node's parts (its sub-expressions and subcommands) in source
-order, their names as the JSON export and the DIMACS legend spell them,
-and the fields that are not parts.  `children` and `part_names` read it.
-`program_size`, `variables_of`, `assigned_vars`, `has_oracle_call`,
-structural `==` and `hash` (node classes, own fields and parts), and the
-audit and derivation check in `tiers`, walk it with an explicit stack, so
-they take programs of any length and depth.  `pretty_cmd` prints a `;`
-chain with a loop.  What still recurses: the parser and the printer on
-`if`/`while` nesting and on expressions, the dataclass `repr`, and the
-JSON export, which `json` itself would refuse past about 990 levels.
-Outside this module, constraint generation in `inference` recurses on
-the tree as the typing rules are written, and the compiler in `semantics`
-recurses on nesting.  The reference engines in `bruteforce` and
-`bulkcheck` recurse as well; they are meant for small programs, and their
-docstrings state the depth they take (about 490 or 990 levels at the
-default recursion limit).
+gives the node's JSON tag, its parts (its sub-expressions and
+subcommands) in source order, their names as the JSON export and the
+DIMACS legend spell them, and the fields that are not parts.  `children`,
+`part_names` and the JSON export `node_to_json` read it, and so do the
+derivation check and the audit in `tiers`.
+
+`preorder` is the one walk of a tree: an explicit stack that yields each
+node before its parts, in source order.  `program_size`, `assigned_vars`,
+`has_oracle_call`, `Program.oracle_name` and `hash` are written on it.
+`variables_of` keeps a loop of its own: typing calls it on every program,
+and a version on `preorder` made `typable` slower.  `==` walks two trees
+in step.  All of these, and the JSON export, take programs of any length
+and depth; `pretty_cmd` prints a `;` chain with a loop.  What still
+recurses: the parser and the printer on `if`/`while` nesting and on
+expressions, the dataclass `repr`, and `json` itself on the exported
+dicts, which it refuses past about 990 levels.  Outside this module,
+constraint generation in `inference` recurses on the tree as the typing
+rules are written.  The reference engines in `bruteforce` and `bulkcheck`
+recurse as well; they are meant for small programs, and their docstrings
+state the depth they take (about 490 or 990 levels at the default
+recursion limit).
 """
 
 from __future__ import annotations
@@ -156,16 +161,12 @@ class Program(_Node):
     @property
     def oracle_name(self) -> str:
         """The symbol of the first oracle call, or phi if there is none."""
-        stack: list = [self.body]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, OracleCall):
-                return node.name
-            stack.extend(reversed(children(node)))
-        return "phi"
+        calls = (n.name for n in preorder(self.body) if isinstance(n, OracleCall))
+        return next(calls, "phi")
 
 
 class _Shape(NamedTuple):
+    tag: str  # the node's "node" value in the JSON export
     parts: Callable[[Any], tuple]  # a node's parts, in source order
     names: tuple[str, ...] | None  # their names; None: by position
     own: tuple[str, ...]  # the fields that are not parts
@@ -174,15 +175,17 @@ class _Shape(NamedTuple):
 # Parts are named as the JSON export and the DIMACS legend name them; an
 # operator application's parts are its arguments.
 _PARTS: dict[type, _Shape] = {
-    Var: _Shape(lambda node: (), (), ("name",)),
-    OpApp: _Shape(attrgetter("args"), None, ("op",)),
-    OracleCall: _Shape(attrgetter("data", "bound"), ("data", "bound"), ("name",)),
-    Skip: _Shape(lambda node: (), (), ()),
-    Assign: _Shape(lambda node: (node.value,), ("value",), ("target",)),
-    Seq: _Shape(attrgetter("first", "rest"), ("first", "rest"), ()),
-    If: _Shape(attrgetter("guard", "then", "orelse"), ("guard", "then", "else"), ()),
-    While: _Shape(attrgetter("guard", "body"), ("guard", "body"), ()),
-    Program: _Shape(lambda node: (node.body,), ("body",), ("return_var",)),
+    Var: _Shape("var", lambda node: (), (), ("name",)),
+    OpApp: _Shape("op", attrgetter("args"), None, ("op",)),
+    OracleCall: _Shape("oracle", attrgetter("data", "bound"), ("data", "bound"),
+                       ("name",)),
+    Skip: _Shape("skip", lambda node: (), (), ()),
+    Assign: _Shape("assign", lambda node: (node.value,), ("value",), ("target",)),
+    Seq: _Shape("seq", attrgetter("first", "rest"), ("first", "rest"), ()),
+    If: _Shape("if", attrgetter("guard", "then", "orelse"), ("guard", "then", "else"),
+               ()),
+    While: _Shape("while", attrgetter("guard", "body"), ("guard", "body"), ()),
+    Program: _Shape("program", lambda node: (node.body,), ("body",), ("return_var",)),
 }
 
 
@@ -202,16 +205,21 @@ def part_names(node: object) -> tuple[str, ...]:
     return tuple(map(str, range(len(node.args)))) if names is None else names
 
 
-def _preorder_keys(node: _Node) -> Iterator[tuple]:
-    """The class, part count and own fields of each node of a tree, in
-    preorder (last part first)."""
+def preorder(node: _Node) -> Iterator[_Node]:
+    """Every node of a tree, each before its parts, in source order."""
     stack = [node]
     while stack:
         node = stack.pop()
-        shape = _PARTS[type(node)]
-        parts = shape.parts(node)
-        yield (type(node), len(parts), *(getattr(node, f) for f in shape.own))
-        stack.extend(parts)
+        yield node
+        stack.extend(_PARTS[type(node)].parts(node)[::-1])
+
+
+def _preorder_keys(node: _Node) -> Iterator[tuple]:
+    """The class, part count and own fields of each node of a tree, in
+    preorder."""
+    for n in preorder(node):
+        shape = _PARTS[type(n)]
+        yield (type(n), len(shape.parts(n)), *(getattr(n, f) for f in shape.own))
 
 
 def _same_tree(a: object, b: object, known: set[tuple[int, int]]) -> bool:
@@ -254,15 +262,9 @@ def program_size(p: Program) -> int:
     occurrence (including assignment targets and the return variable)
     counts one.  ``skip return x`` has size 2.
     """
-    size = 0
-    stack: list = [p]
-    while stack:
-        node = stack.pop()
-        # An assignment counts its target too; the program node counts as
-        # its return variable.
-        size += 2 if isinstance(node, Assign) else 1
-        stack.extend(children(node))
-    return size
+    # An assignment counts its target too; the program node counts as its
+    # return variable.
+    return sum(2 if isinstance(n, Assign) else 1 for n in preorder(p))
 
 
 def variables_of(node: Program | Cmd | Expr) -> tuple[str, ...]:
@@ -284,25 +286,11 @@ def variables_of(node: Program | Cmd | Expr) -> tuple[str, ...]:
 
 def assigned_vars(c: Cmd) -> frozenset[str]:
     """Variables written by the command (assignment targets)."""
-    targets: set[str] = set()
-    stack: list = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Assign):
-            targets.add(node.target)
-        else:
-            stack.extend(children(node))
-    return frozenset(targets)
+    return frozenset(n.target for n in preorder(c) if isinstance(n, Assign))
 
 
 def has_oracle_call(node: Program | Cmd | Expr) -> bool:
-    stack: list = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, OracleCall):
-            return True
-        stack.extend(children(node))
-    return False
+    return any(isinstance(n, OracleCall) for n in preorder(node))
 
 
 # --- Lexer ---------------------------------------------------------------
@@ -564,33 +552,33 @@ def pretty(p: Program) -> str:
 # --- JSON export ---------------------------------------------------------
 
 
-def expr_to_json(e: Expr) -> dict:
-    if isinstance(e, Var):
-        return {"node": "var", "name": e.name}
-    if isinstance(e, OpApp):
-        return {"node": "op", "op": e.op, "args": [expr_to_json(a) for a in e.args]}
-    if isinstance(e, OracleCall):
-        return {"node": "oracle", "data": expr_to_json(e.data),
-                "bound": expr_to_json(e.bound)}
-    raise TypeError(f"not an expression: {e!r}")
+def node_to_json(node: Expr | Cmd) -> dict:
+    """An expression or command as nested dicts.
 
-
-def cmd_to_json(c: Cmd) -> dict:
-    if isinstance(c, Skip):
-        return {"node": "skip"}
-    if isinstance(c, Assign):
-        return {"node": "assign", "target": c.target, "value": expr_to_json(c.value)}
-    if isinstance(c, Seq):
-        return {"node": "seq", "first": cmd_to_json(c.first), "rest": cmd_to_json(c.rest)}
-    if isinstance(c, If):
-        return {"node": "if", "guard": expr_to_json(c.guard),
-                "then": cmd_to_json(c.then), "else": cmd_to_json(c.orelse)}
-    if isinstance(c, While):
-        return {"node": "while", "guard": expr_to_json(c.guard),
-                "body": cmd_to_json(c.body)}
-    raise TypeError(f"not a command: {c!r}")
+    Each dict holds the node's tag under ``"node"``, then its own fields,
+    then its parts under their `_PARTS` names, or under ``"args"`` for an
+    operator application.  An oracle call leaves its symbol out: the
+    program's ``"oracle"`` key carries it.  The dicts are built with an
+    explicit stack.
+    """
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        node, doc = stack.pop()
+        shape = _PARTS[type(node)]
+        doc["node"] = shape.tag
+        own = () if type(node) is OracleCall else shape.own
+        doc.update((f, getattr(node, f)) for f in own)
+        parts = shape.parts(node)
+        docs = [{} for _ in parts]
+        if shape.names is None:
+            doc["args"] = docs
+        else:
+            doc.update(zip(shape.names, docs))
+        stack.extend(zip(parts, docs))
+    return root
 
 
 def program_to_json(p: Program) -> dict:
-    return {"body": cmd_to_json(p.body), "return": p.return_var,
+    return {"body": node_to_json(p.body), "return": p.return_var,
             "oracle": p.oracle_name}

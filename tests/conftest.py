@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import settings, HealthCheck
 
@@ -23,3 +26,26 @@ def registry():
 @pytest.fixture(scope="session")
 def corpus():
     return {entry.name: entry for entry in load_corpus()}
+
+
+class TimeBoundExceeded(BaseException):
+    """Raised in a run that outlasts its `time_bound`.  Not an Exception,
+    so the code under test and the tests' own handlers let it through."""
+
+
+@contextmanager
+def time_bound(seconds: float = 10.0):
+    """Raise TimeBoundExceeded in this process if the block runs longer
+    than ``seconds`` of wall time, so a run that should stop on its fuel
+    fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeBoundExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

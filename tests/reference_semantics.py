@@ -1,10 +1,10 @@
 """Slow reference interpreter: a plain tree walker over the AST.
 
 This is the interpreter `run_program` used before programs were
-compiled.  It dispatches on node type at every step and applies operators
-through `Registry.apply`, so it shares no evaluation code with the
-compiled form; the tests run both and require the same values,
-stores, step counts, query traces and exceptions.
+compiled.  It dispatches on node type at every step and applies each
+operator through `Registry.resolve` at each application, so it shares no
+evaluation code with the compiled form; the tests run both and require
+the same values, stores, step counts, query traces and exceptions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class _Machine:
         if isinstance(e, OpApp):
             args = tuple(self.eval_expr(a, store) for a in e.args)
             self.tick()
-            return self.registry.apply(e.op, args)
+            return self.registry.resolve(e.op, len(args))(*args)
         if isinstance(e, OracleCall):
             data = self.eval_expr(e.data, store)
             bound = self.eval_expr(e.bound, store)

@@ -25,6 +25,7 @@ from tierlang.syntax import (
     literal_op_name, parse, variables_of,
 )
 
+from .conftest import time_bound
 from .reference_semantics import reference_run
 from .strategies import VAR_NAMES, programs, words
 
@@ -44,7 +45,8 @@ oracles = st.one_of(st.none(), tables, tables.map(PaddedOracle))
 
 def _outcome(run, p, inputs, oracle, fuel, registry=None):
     try:
-        r = run(p, inputs, oracle, fuel, registry)
+        with time_bound():
+            r = run(p, inputs, oracle, fuel, registry)
     except Exception as exc:
         return type(exc), str(exc)
     t = r.trace

@@ -46,6 +46,7 @@ from tierlang.syntax import (
     program_to_json,
 )
 
+from .conftest import time_bound
 from .reference_semantics import reference_run
 from .strategies import words
 
@@ -171,7 +172,7 @@ def test_guard_must_be_a_single_symbol():
 
 def test_fuel_exhaustion():
     p = parse("while (gt0(suc1(x))) { x := suc1(x) } return x")
-    with pytest.raises(FuelExhausted):
+    with pytest.raises(FuelExhausted), time_bound():
         run_program(p, fuel=500)
     # the same program runs fine under a generous budget cut short
     res = run_program(ADD, {"x": "11"}, fuel=26)

@@ -17,11 +17,10 @@ from tierlang.syntax import (
     Var,
     While,
     assigned_vars,
-    cmd_to_json,
-    expr_to_json,
     has_oracle_call,
     literal_op_name,
     literal_word,
+    node_to_json,
     parse,
     part_names,
     pretty,
@@ -208,9 +207,20 @@ def test_json_export_is_total(p: Program):
     assert isinstance(doc["body"], dict)
 
 
+def test_json_export_takes_any_depth():
+    body = Skip()
+    for _ in range(3000):
+        body = While(Var("x"), body)
+    doc = program_to_json(Program(body, "x"))["body"]
+    for _ in range(3000):
+        assert doc["node"] == "while" and doc["guard"] == {"node": "var", "name": "x"}
+        doc = doc["body"]
+    assert doc == {"node": "skip"}
+
+
 def test_cmd_json_tags():
     c = parse("if (gt0(x)) { skip } else { x := 1 } return x").body
-    doc = cmd_to_json(c)
+    doc = node_to_json(c)
     assert doc["node"] == "if"
     assert doc["then"]["node"] == "skip"
 
@@ -248,8 +258,7 @@ def test_part_names_are_the_json_exports_keys():
         if isinstance(node, OpApp):
             assert part_names(node) == tuple(map(str, range(len(node.args))))
             continue
-        to_json = (program_to_json if isinstance(node, Program)
-                   else cmd_to_json if isinstance(node, syntax.Cmd) else expr_to_json)
+        to_json = program_to_json if isinstance(node, Program) else node_to_json
         doc = to_json(node)
         assert part_names(node) == tuple(k for k, v in doc.items() if isinstance(v, dict))
 
