@@ -9,8 +9,12 @@ long or too deeply nested for the command), 3 run stuck on a bad guard,
 `--max-tier` takes 0 to `MAX_TIER` (10,000).  No least typing needs a
 tier above the program size, which is the default cap, and a larger cap
 only grows the `--emit-cnf` instance (cap + 1 clauses per record and per
-edge).  A value above the limit is a usage error, raised before anything
-is printed or written.
+edge).  The tiers of `--triple` and `--gamma` have the same limit: each
+tier of the judgement can cost a lift node in the derivation.  A value
+above the limit is a usage error, raised before anything is printed or
+written.  A numeral whose unary word is longer than a Python string can
+be is refused before the word is built: in the source as a parse error,
+in `--input` or a `--sweep` range as a usage error.
 
 `check` and `infer` serialize the tree for `--emit-derivation` before they
 print or write anything.  JSON nests one object per tree level, and at the
@@ -54,6 +58,7 @@ from .syntax import (
     parse,
     pretty,
     program_to_json,
+    unary_word,
     variables_of,
 )
 from .tiers import audit_derivation, check
@@ -68,17 +73,14 @@ MAX_TIER = 10_000
 
 
 def _read_program(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_input_value(text: str) -> str:
-    if not text:
-        return ""
     if set(text) <= {"0", "1"}:
         return text
     if text.isdigit():
-        return "1" * int(text)
+        return unary_word(text)
     raise ValueError(f"input value {text!r} is neither a word nor a number")
 
 
@@ -106,12 +108,12 @@ def _parse_gamma(text: str) -> dict[str, int]:
             raise ValueError(f"expected var=tier, got {item!r}")
         if name in gamma:
             raise ValueError(f"--gamma gives {name!r} twice")
-        gamma[name] = int(tier)
+        gamma[name] = _capped("--gamma", int(tier))
     return gamma
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
+    parts = [_capped("--triple", int(p)) for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"triple needs three components, got {text!r}")
     return (parts[0], parts[1], parts[2])
@@ -125,6 +127,8 @@ def _parse_range(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step <= 0 or lo > hi:
         raise ValueError(f"range {text!r} needs lo <= hi and a positive step")
+    if hi > sys.maxsize:
+        raise ValueError(f"range {text!r} reaches past the longest word")
     return list(range(lo, hi + 1, step))
 
 
@@ -135,11 +139,11 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _tier_cap(args) -> int | None:
-    """The --max-tier value, refused above MAX_TIER."""
-    if args.max_tier is not None and args.max_tier > MAX_TIER:
-        raise ValueError(f"--max-tier {args.max_tier} is above the limit {MAX_TIER}")
-    return args.max_tier
+def _capped(option: str, tier: int | None) -> int | None:
+    """A tier given on the command line, refused above MAX_TIER."""
+    if tier is not None and tier > MAX_TIER:
+        raise ValueError(f"{option} {tier} is above the limit {MAX_TIER}")
+    return tier
 
 
 def _load_oracle(path: str | None) -> TableOracle | None:
@@ -167,7 +171,7 @@ def cmd_check(args) -> int:
     program = _read_program(args.source)
     gamma = _parse_gamma(args.gamma) if args.gamma else {}
     triple = _parse_triple(args.triple)
-    derivation = check(program, gamma, triple, t_max=_tier_cap(args))
+    derivation = check(program, gamma, triple, t_max=_capped("--max-tier", args.max_tier))
     ok = derivation is not None
     tree = None
     if ok and args.emit_derivation:
@@ -186,7 +190,7 @@ def cmd_check(args) -> int:
 
 def cmd_infer(args) -> int:
     program = _read_program(args.source)
-    result = infer(program, t_max=_tier_cap(args))
+    result = infer(program, t_max=_capped("--max-tier", args.max_tier))
     tree = None
     if result is not None and args.emit_derivation:
         tree = _derivation_text(result.derivation)
@@ -195,8 +199,7 @@ def cmd_infer(args) -> int:
         # model decodes to the reported typing; the sealed mode if none.
         outer_zero = result is None or result.outer_zero
         encoding = encode(program, t_max=args.max_tier, outer_zero=outer_zero)
-        with open(args.emit_cnf, "w", encoding="utf-8") as fh:
-            fh.write(to_dimacs(encoding))
+        Path(args.emit_cnf).write_text(to_dimacs(encoding), encoding="utf-8")
     if result is None:
         if args.format == "json":
             print(json.dumps({"typable": False}))
@@ -256,7 +259,7 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"negative fuel {args.fuel}")
     if args.trials < 0:
         raise ValueError(f"negative trial count {args.trials}")
-    t_max = _tier_cap(args)
+    t_max = _capped("--max-tier", args.max_tier)
     seed = _seed(args)
     oracle = _load_oracle(args.oracle)
     if args.sweep:
@@ -283,8 +286,7 @@ def cmd_analyze(args) -> int:
         if args.format != "json":
             print(report.to_text())
         if args.plot_data:
-            with open(args.plot_data, "w", encoding="utf-8") as fh:
-                fh.write(report.to_tsv())
+            Path(args.plot_data).write_text(report.to_tsv(), encoding="utf-8")
     if args.ni:
         if result is None:
             print("cannot test non-interference without a typing", file=sys.stderr)

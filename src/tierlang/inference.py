@@ -24,14 +24,16 @@ Every fact is a difference constraint tier[b] >= tier[a] + w with w in
 {0, 1}, plus lower and upper pins, so the pointwise least typing is a
 longest-path fixpoint (CLRS 24.4).  One builder, `_constraints`, checks the
 knobs, fixes the tier cap and the mode, and has `_rules` record the facts
-in a fresh `_Graph` as weighted edges; `least_tiers` and `encode` both
-start from it.  `least_tiers` finds the strongly connected components and
-rejects the program if an edge of weight 1 lies inside one.  Otherwise
-each record's least tier is its longest path from the lower pins, computed
-over the components in topological order, and the typing exists exactly
-when no record then exceeds its upper pin or t_max.  The `TierSolution` it
-returns keeps the graph it solved.  `infer`, `typable` and the checker in
-`tiers` all solve through `least_tiers`.
+in a fresh `_Graph`, each as one weighted edge in the predecessor list of
+the record it bounds from below; `least_tiers` and `encode` both start
+from it.  `least_tiers` solves in one pass of Tarjan's strongly connected
+components over those lists.  A component closes only after every record
+it depends on, so its least tier is set as it closes: its highest lower
+pin, or an outside predecessor's tier plus the edge weight if that is
+higher.  An edge of weight 1 between two members, or a tier above t_max,
+means no typing, and so does a record above its upper pin at the end.
+The `TierSolution` it returns keeps the graph it solved.  `infer`,
+`typable` and the checker in `tiers` all solve through `least_tiers`.
 
 `encode` expands the same graph into 2-SAT over threshold bits, kept as an
 export and as the cross-check oracle in the tests.  Each record gets t_max+1
@@ -43,9 +45,11 @@ per record, the least i whose bit is set:
     a == b      both directions of <=
     a <  b      (-b_{i+1} or a_i)      for every i < t_max, plus unit -b_0
 
-and a pin becomes one unit per bound.  All these clauses are implications
-between bits or unit literals, so the models are closed under union and a
-greatest one exists: greatest in "at most" bits is least in tiers.
+and a pin becomes one unit per bound.  Clauses come record by record, each
+record's own followed by those of the edges into it, then the pins.  All
+these clauses are implications between bits or unit literals, so the
+models are closed under union and a greatest one exists: greatest in "at
+most" bits is least in tiers.
 `solve_2sat` finds it, and accepts only such implicational instances;
 `decode` reads the tiers back and `to_dimacs` renders the instance.
 """
@@ -142,46 +146,44 @@ class Encoding:
 class _Graph:
     """Sink for order facts that keeps them as difference constraints.
 
-    Record a gets an edge to record b for tier[b] >= tier[a], and a strict
-    edge, listed again in `strict`, for tier[b] >= tier[a] + 1.  Pins become
-    lower and upper bounds on the records they touch; every tier is capped
-    at `cap`.  `solve` finds the least tiers; `threshold_clauses` expands the
-    same facts into the 2-SAT export, cap+1 clauses per record and per edge
-    plus one unit per bound, and the tallies give that instance's size
-    without building it.
+    `pred[b]` lists a for tier[b] >= tier[a] and ~a for the strict
+    tier[b] >= tier[a] + 1, so each fact is stored once, at the record it
+    bounds from below.  Pins become lower and upper bounds on the records
+    they touch; every tier is capped at `cap`.  `solve` finds the least
+    tiers; `threshold_clauses` expands the same facts into the 2-SAT export,
+    cap+1 clauses per record and per edge plus one unit per bound, and the
+    tallies give that instance's size without building it.
     """
 
     def __init__(self, cap: int) -> None:
         self.cap = cap
-        self.succ: list[list[int]] = []
-        self.strict: dict[int, list[int]] = {}
+        self.pred: list[list[int]] = []
         self.low: list[tuple[int, int]] = []
         self.high: list[tuple[int, int]] = []
 
     @property
     def num_bool_vars(self) -> int:
-        return len(self.succ) * (self.cap + 1)
+        return len(self.pred) * (self.cap + 1)
 
     @property
     def clause_count(self) -> int:
-        edges = sum(map(len, self.succ))
+        edges = sum(map(len, self.pred))
         pins = len(self.low) + len(self.high)
-        return (len(self.succ) + edges) * (self.cap + 1) + pins
+        return (len(self.pred) + edges) * (self.cap + 1) + pins
 
     def new_record(self) -> int:
-        self.succ.append([])
-        return len(self.succ) - 1
+        self.pred.append([])
+        return len(self.pred) - 1
 
     def leq(self, a: int, b: int) -> None:
-        self.succ[a].append(b)
+        self.pred[b].append(a)
 
     def eq(self, a: int, b: int) -> None:
-        self.succ[a].append(b)
-        self.succ[b].append(a)
+        self.pred[b].append(a)
+        self.pred[a].append(b)
 
     def lt(self, a: int, b: int) -> None:
-        self.succ[a].append(b)
-        self.strict.setdefault(a, []).append(b)
+        self.pred[b].append(~a)
 
     def pin(self, record: int, tier: int) -> None:
         """Force an exact tier."""
@@ -196,107 +198,103 @@ class _Graph:
         self.low.append((record, 1))
 
     def solve(self) -> list[int] | None:
-        """Least tier per record, or None when the facts are unsatisfiable."""
-        comp = _strong_components(self.succ)
-        level = [0] * len(comp)  # per component; ids are below len(comp)
-        for v, t in self.low:
-            level[comp[v]] = max(level[comp[v]], t)
-        # Component ids are reverse topological, so visiting them in
-        # descending order settles each before any edge leaves it.
-        succ, strict = self.succ, self.strict
-        for v in sorted(range(len(comp)), key=comp.__getitem__, reverse=True):
-            c = comp[v]
-            here = level[c]
-            for u in succ[v]:
-                if level[comp[u]] < here:
-                    level[comp[u]] = here
-            for u in strict.get(v, ()):
-                if comp[u] == c:
-                    return None  # a strict edge on a cycle
-                if level[comp[u]] <= here:
-                    level[comp[u]] = here + 1
-        tiers = [level[c] for c in comp]
-        if tiers and max(tiers) > self.cap:
-            return None
+        """Least tier per record, or None when the facts are unsatisfiable.
+
+        One pass of Tarjan's strongly connected components over `pred`,
+        with an explicit stack.  A component closes only after every record
+        its members depend on, so its least tier is set as it closes: the
+        largest lower pin of its members and, for each edge into it from
+        outside, the settled tier at the edge's source plus its weight.
+        `base` gathers that bound as `low` gathers the component's root:
+        from each record's own edges, and from its children in the search
+        tree that stay in its component.  A strict edge between two members
+        means no typing.
+        """
+        pred, cap = self.pred, self.cap
+        n = len(pred)
+        index = [-1] * n  # visit order; -1 until visited
+        low = [0] * n
+        base = [0] * n
+        tiers = [-1] * n  # -1 until the record's component closes
+        for r, t in self.low:  # the lower pins seed the bounds
+            if base[r] < t:
+                base[r] = t
+        members: list[int] = []  # Tarjan's stack of records in open components
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            members.append(root)
+            # The search path, an iterator over each of its records' edges,
+            # and the edge by which each was reached.
+            path, edges, via = [root], [iter(pred[root])], [root]
+            while path:
+                v = path[-1]
+                for e in edges[-1]:
+                    u = e if e >= 0 else ~e
+                    if index[u] < 0:
+                        index[u] = low[u] = counter
+                        counter += 1
+                        members.append(u)
+                        path.append(u)
+                        edges.append(iter(pred[u]))
+                        via.append(e)
+                        break
+                    t = tiers[u]
+                    if t >= 0:  # settled in a closed component
+                        t += e < 0  # a strict edge weighs 1
+                        if base[v] < t:
+                            base[v] = t
+                    elif e < 0:  # u is open, so in v's component
+                        return None
+                    elif index[u] < low[v]:
+                        low[v] = index[u]
+                else:
+                    path.pop()
+                    edges.pop()
+                    e = via.pop()
+                    t = base[v]
+                    if low[v] == index[v]:  # v's component closes
+                        if t > cap:
+                            return None
+                        while tiers[v] < 0:
+                            tiers[members.pop()] = t
+                        t += e < 0
+                    elif e < 0:  # v stays in its parent's component
+                        return None
+                    elif low[v] < low[path[-1]]:
+                        low[path[-1]] = low[v]
+                    if path and base[path[-1]] < t:
+                        base[path[-1]] = t
         if any(tiers[r] > t for r, t in self.high):
             return None
         return tiers
 
     def threshold_clauses(self) -> ClauseSet:
-        """The facts as 2-SAT over threshold bits; see the module docstring."""
+        """The facts as 2-SAT over threshold bits; see the module docstring.
+        Each record's clauses come with the clauses of the edges into it."""
         cap = self.cap
         clauses = ClauseSet(num_vars=self.num_bool_vars)
         add = clauses.add
-        for a, targets in enumerate(self.succ):
+        for b, sources in enumerate(self.pred):
             for i in range(cap):
-                add(-_bit(a, i, cap), _bit(a, i + 1, cap))
-            add(_bit(a, cap, cap))
-            # `targets` lists strict edges too; a record can have a strict
-            # and a plain edge to the same target, so match them by count.
-            strict = list(self.strict.get(a, ()))
-            for b in targets:
-                if b in strict:
-                    strict.remove(b)
-                    for i in range(cap):
-                        add(-_bit(b, i + 1, cap), _bit(a, i, cap))
-                    add(-_bit(b, 0, cap))
-                else:
+                add(-_bit(b, i, cap), _bit(b, i + 1, cap))
+            add(_bit(b, cap, cap))
+            for a in sources:
+                if a >= 0:
                     for i in range(cap + 1):
                         add(-_bit(b, i, cap), _bit(a, i, cap))
+                else:
+                    for i in range(cap):
+                        add(-_bit(b, i + 1, cap), _bit(~a, i, cap))
+                    add(-_bit(b, 0, cap))
         for r, t in self.low:
             add(-_bit(r, t - 1, cap))
         for r, t in self.high:
             add(_bit(r, t, cap))
         return clauses
-
-
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Tarjan's strongly connected components, with an explicit stack.
-
-    Returns a component id per node.  Ids are handed out as components
-    close, which is reverse topological order: an edge from component c to
-    a different component d has c > d.
-    """
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    tarjan: list[int] = []
-    counter = 0
-    closed = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        tarjan.append(root)
-        path = [root]
-        edges = [iter(succ[root])]
-        while path:
-            v = path[-1]
-            for u in edges[-1]:
-                if index[u] < 0:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    tarjan.append(u)
-                    path.append(u)
-                    edges.append(iter(succ[u]))
-                    break
-                if comp[u] < 0 and index[u] < low[v]:
-                    low[v] = index[u]
-            else:
-                path.pop()
-                edges.pop()
-                if low[v] == index[v]:
-                    while True:
-                        u = tarjan.pop()
-                        comp[u] = closed
-                        if u == v:
-                            break
-                    closed += 1
-                if path and low[v] < low[path[-1]]:
-                    low[path[-1]] = low[v]
-    return comp
 
 
 def _constraints(
@@ -491,7 +489,7 @@ def encode(
     graph, records, outer_zero = _constraints(
         program, t_max, registry, gamma, triple, outer_zero
     )
-    names = _record_names(len(graph.succ), records)
+    names = _record_names(len(graph.pred), records)
     return Encoding(graph.cap, graph.threshold_clauses(), records, outer_zero, names)
 
 

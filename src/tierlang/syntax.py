@@ -57,6 +57,15 @@ def literal_op_name(word: str) -> str:
     return LITERAL_PREFIX + word
 
 
+def unary_word(numeral: str) -> str:
+    """The word 1^n for a decimal numeral n, refused without building it
+    when it is longer than a Python string can be."""
+    try:
+        return "1" * int(numeral)
+    except (OverflowError, ValueError):
+        raise ValueError(f"numeral of {len(numeral)} digits is too large") from None
+
+
 def literal_word(op_name: str) -> str | None:
     """Inverse of literal_op_name, or None for ordinary operators."""
     if op_name.startswith(LITERAL_PREFIX):
@@ -438,7 +447,10 @@ class _Parser:
         kind, text, _ = name_tok
         if kind == "INT":
             self.pos += 1
-            return OpApp(literal_op_name("1" * int(text)))
+            try:
+                return OpApp(literal_op_name(unary_word(text)))
+            except ValueError as exc:
+                raise self.error(str(exc), name_tok) from None
         if kind == "STRING":
             self.pos += 1
             return OpApp(literal_op_name(text))

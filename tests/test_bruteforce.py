@@ -16,7 +16,7 @@ from tierlang.bruteforce import (
 )
 from tierlang.bulkcheck import BulkTyping
 from tierlang.inference import typable
-from tierlang.operators import builtin_registry
+from tierlang.operators import OperatorSpec, Positive, builtin_registry
 from tierlang.syntax import (
     Assign,
     If,
@@ -26,6 +26,7 @@ from tierlang.syntax import (
     Var,
     While,
     parse,
+    preorder,
     pretty,
     program_size,
     variables_of,
@@ -146,6 +147,30 @@ def test_bulk_engine_matches_reference_pointwise(cap, per_kind):
             for triple in itertools.product(tiers, repeat=3):
                 want = derivable(p.body, gamma, *triple, REG, memo, expr_memo)
                 assert bool(mask[env + triple]) == want, (pretty(p), env, triple)
+
+
+# A custom constant that claims slack: it must sit strictly below the
+# inner channel, as `suc1` must.
+ONE = OperatorSpec("one", 0, Positive(1), lambda: "1")
+
+
+@pytest.mark.parametrize("op_names, registry, count", [
+    (("pred", "suc1", "gt0", "eps"), REG, 425),
+    (("pred", "gt0", "one"), REG.extended(ONE), 246),
+], ids=["neutral-constant", "positive-constant"])
+def test_bulk_engine_types_constants_as_the_solver_does(op_names, registry, count):
+    family = enumerate_family(7, op_names=op_names, registry=registry)
+    assert len(family) == count
+    constant = op_names[-1]
+    assert any(isinstance(n, OpApp) and n.op == constant
+               for p in family for n in preorder(p))
+    engine = BulkTyping(2, registry=registry)
+    verdicts = set()
+    for p in family:
+        want = typable(p, t_max=2, registry=registry)
+        assert engine.typable(p) == want == typable_bounded(p, 2, registry), pretty(p)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_typing_table_lists_every_success():

@@ -409,6 +409,106 @@ def test_corpus_check(capsys):
     assert "FAIL" not in out
 
 
+def test_check_json_payload(add_file, tmp_path, capsys):
+    tree = tmp_path / "d.json"
+    assert main(["check", add_file, "--gamma", "x=1,y=0", "--triple", "1,1,0",
+                 "--format", "json", "--emit-derivation", str(tree)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": True, "gamma": {"x": 1, "y": 0}, "triple": [1, 1, 0],
+        "derivation": str(tree)}
+    assert json.loads(tree.read_text())["triple"] == [1, 1, 0]
+    assert main(["check", add_file, "--triple", "0,0,0", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False, "gamma": {}, "triple": [0, 0, 0]}
+
+
+def test_run_json_payload(add_file, corpus, tmp_path, capsys):
+    assert main(["run", add_file, "--input", "x=3", "--input", "y=2",
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "value": "11111", "steps": 37, "m": 5, "lr": 0, "queries": []}
+    assert captured.err == ""
+    source = tmp_path / "search.tier"
+    source.write_text(corpus["oracle_search"].source())
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text('{"entries": [{"query": "11", "answer": "0"}],'
+                      ' "default": {"kind": "echo-length"}}')
+    assert main(["run", str(source), "--input", "x=3", "--oracle", str(oracle),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "value": "1", "steps": 56, "m": 4, "lr": 1,
+        "queries": [["1111", "1111"], ["111", "111"], ["11", "0"]]}
+
+
+def test_analyze_json_payload(add_file, corpus, tmp_path, capsys):
+    assert main(["analyze", add_file, "--sweep", "1:4", "--scale-vars", "x", "--ni",
+                 "--trials", "5", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["typable", "sweep", "ni"] and doc["typable"] is True
+    sweep = doc["sweep"]
+    assert list(sweep) == ["points", "slope", "max_lr"]
+    assert sweep["points"] == [{"scale": n, "m": n, "steps": 11 * n + 4, "lr": 0}
+                               for n in range(1, 5)]
+    assert sweep["slope"] == pytest.approx(0.8367, abs=1e-4)
+    assert sweep["max_lr"] == 0
+    assert doc["ni"] == [{"level": level, "trials": 5, "ok": True, "failures": []}
+                         for level in (0, 1)]
+    # An untypable program is swept, but gets no non-interference trials.
+    source = tmp_path / "blowup.tier"
+    source.write_text(corpus["exp_blowup"].source())
+    assert main(["analyze", str(source), "--sweep", "1:2", "--ni", "--format",
+                 "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["typable", "sweep"] and doc["typable"] is False
+    assert [p["steps"] for p in doc["sweep"]["points"]] == [29, 98]
+
+
+def test_corpus_check_json_payload(corpus, capsys):
+    assert main(["corpus-check", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"results": [
+        {"name": name, "ok": True, "problems": []} for name in corpus]}
+
+
+HUGE = "200000000000000000000"  # 2 * 10^20: no string is that long
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--input", f"x={HUGE}"], "error: numeral of 21 digits is too large"),
+    (["analyze", "--sweep", f"1:{HUGE}"],
+     f"error: range '1:{HUGE}' reaches past the longest word"),
+    (["analyze", "--sweep", f"{HUGE}:{HUGE}"],
+     f"error: range '{HUGE}:{HUGE}' reaches past the longest word"),
+    (["check", "--triple", "100000000,1,0"],
+     "error: --triple 100000000 is above the limit 10000"),
+    (["check", "--triple", f"1,1,{MAX_TIER + 1}"],
+     "error: --triple 10001 is above the limit 10000"),
+    (["check", "--gamma", "x=1,y=100000000", "--triple", "1,1,0"],
+     "error: --gamma 100000000 is above the limit 10000"),
+], ids=["input", "sweep-hi", "sweep-lo", "triple", "triple-outer", "gamma"])
+def test_huge_numbers_are_usage_errors(argv, message, add_file, capsys):
+    assert main([argv[0], add_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "infer", "run"])
+def test_a_huge_numeral_in_the_source_is_a_parse_error(command, tmp_path, capsys):
+    source = tmp_path / "huge.tier"
+    source.write_text(f"x := {HUGE}\nreturn x\n")
+    assert main([command, str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: 1:6: numeral of 21 digits is too large\n"
+
+
+def test_triple_and_gamma_at_the_limit_type(add_file, capsys):
+    assert main(["check", add_file, "--gamma", f"x={MAX_TIER},y=0",
+                 "--triple", f"{MAX_TIER},{MAX_TIER},0"]) == 0
+    assert capsys.readouterr().out == "typable at the given judgement\n"
+
+
 def test_seed_env_override(add_file, monkeypatch, capsys):
     monkeypatch.setenv("TIER_SEED", "99")
     assert main(["analyze", add_file, "--ni", "--trials", "5"]) == 0

@@ -13,7 +13,10 @@ quadratic only there, such as a walk that copies its stack per node with
 
 The families are `;` chains and `while` nests, kept below the parser's
 nesting limit.  Each program's last statement holds its one oracle call,
-so a walk that looks for a call visits every node.
+so a walk that looks for a call visits every node.  The chains type and
+the nests do not, so the solver runs to a typing on one and to a failure,
+in both modes, on the other; a nest of countdown loops without the call
+types, and its derivation is audited.
 """
 
 from __future__ import annotations
@@ -25,14 +28,17 @@ from pathlib import Path
 import pytest
 
 import tierlang
+from tierlang.inference import infer, least_tiers
 from tierlang.syntax import (
     assigned_vars,
     has_oracle_call,
     parse,
+    pretty,
     program_size,
     program_to_json,
     variables_of,
 )
+from tierlang.tiers import audit_derivation
 
 _PACKAGE = str(Path(tierlang.__file__).parent)
 
@@ -111,3 +117,48 @@ def test_syntax_queries_do_linear_work(name, family, sizes):
     # Above 1.1 the work grows faster than the program; below 0.5 the
     # family does not make the stage walk the whole tree.
     assert all(0.5 < r <= 1.1 for r in ratios), ratios
+
+
+def typable_nest(n: int) -> str:
+    return "while (gt0(x)) { " * n + "x := pred(x)" + " }" * n + " return x"
+
+
+def both_modes(p):
+    return [least_tiers(p, outer_zero=mode) for mode in (True, False)]
+
+
+def inferred(source: str):
+    result = infer(parse(source))
+    return result.derivation, result.gamma
+
+
+# What each solver stage takes, made from a family's source text.
+PIPELINE = {
+    "parse": (parse, str),
+    "least_tiers": (both_modes, parse),
+    "infer": (infer, parse),
+    "audit_derivation": (lambda pair: audit_derivation(*pair), inferred),
+    "pretty": (pretty, parse),
+}
+
+
+@pytest.mark.parametrize("name,family,sizes", [
+    pytest.param(name, family, sizes, id=f"{name}-{family.__name__}")
+    for names, family, sizes in [
+        (PIPELINE, chain, CHAINS),
+        (("parse", "least_tiers", "pretty"), nest, NESTS),
+        (("infer", "audit_derivation"), typable_nest, NESTS),
+    ] for name in names
+])
+def test_solver_stages_do_linear_work(name, family, sizes):
+    stage, make = PIPELINE[name]
+    ratios = doubling_ratios(stage, lambda n: make(family(n)), sizes)
+    assert all(0.5 < r <= 1.1 for r in ratios), ratios
+
+
+def test_the_chains_type_and_the_nests_do_not():
+    for n in (CHAINS[0], CHAINS[-1]):
+        assert None not in both_modes(parse(chain(n)))
+    for n in (NESTS[0], NESTS[-1]):
+        assert both_modes(parse(nest(n))) == [None, None]
+        assert infer(parse(typable_nest(n))) is not None

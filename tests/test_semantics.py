@@ -386,7 +386,7 @@ class _WeakOracle(Oracle):
         return query
 
 
-def test_a_pooled_runner_keeps_nothing_of_its_last_run(monkeypatch):
+def test_a_compiled_program_keeps_nothing_of_its_last_run(monkeypatch):
     monkeypatch.setattr(semantics, "Store", _WeakStore)
     monkeypatch.setattr(semantics, "ExecutionTrace", _WeakTrace)
     p = parse("y := phi(x | x) ; while (gt0(x)) { x := pred(x) } return y")
@@ -420,7 +420,7 @@ def test_each_registry_gets_its_own_compilation():
         run_program(p, {"b": "1", "x": "1"})
 
 
-def test_the_runner_pool_is_not_part_of_the_program():
+def test_the_compiled_function_is_not_part_of_the_program():
     src = "while (gt0(x)) { x := pred(x) } return x"
     p, fresh = parse(src), parse(src)
     shown = repr(p), hash(p), pretty(p), program_to_json(p)

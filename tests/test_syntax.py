@@ -59,6 +59,16 @@ def test_numerals_are_unary_words():
     assert parse("x := 0 return x").body.value == OpApp(literal_op_name(""))
 
 
+@pytest.mark.parametrize("numeral", ["200000000000000000000", "9" * 5000],
+                         ids=["past-the-longest-string", "past-int-digit-limit"])
+def test_a_numeral_too_large_for_a_word_is_a_parse_error(numeral):
+    # Refused at its position, before any word is built.
+    with pytest.raises(ParseError) as err:
+        parse(f"x := 1;\ny := {numeral} return y")
+    assert (err.value.line, err.value.col, err.value.message) == (
+        2, 6, f"numeral of {len(numeral)} digits is too large")
+
+
 def test_string_literals_are_raw_words():
     p = parse('x := "1001" return x')
     assert p.body.value == OpApp(literal_op_name("1001"))

@@ -231,6 +231,105 @@ def test_audit_flags_each_lemma(forge, gamma, violation):
     assert audit_derivation(forge(), gamma).violations == (AuditViolation(*violation),)
 
 
+# Forgeries that each break exactly one tier side condition of
+# `verify_derivation`: every other node, and every other condition at the
+# forged node, holds.  Variables: x, y, z at the tiers of `SIDE_GAMMA`.
+SIDE_GAMMA = {"x": 1, "y": 0, "z": 0}
+
+
+def _leaf(e, triple):
+    return Derivation("var", e, TypedTriple(*triple))
+
+
+def _pred_x(triple, arg_triple):
+    e = parse("y := pred(x) return y").body.value
+    return Derivation("op", e, TypedTriple(*triple), (_leaf(e.args[0], arg_triple),))
+
+
+def _call(triple, data, bound):
+    # phi(x | z) or phi(y | z) at `triple`, its parts at the call's channels
+    call = parse(f"y := phi({data} | {bound}) return y").body.value
+    _, inner, outer = triple
+    kids = tuple(_leaf(v, (SIDE_GAMMA[v.name], inner, outer))
+                 for v in (call.data, call.bound))
+    return Derivation("oracle", call, TypedTriple(*triple), kids)
+
+
+def _assign(triple, target, value):
+    a = parse(f"{target} := {value} return {target}").body
+    _, inner, outer = triple
+    kid = _leaf(a.value, (SIDE_GAMMA[value], inner, outer))
+    return Derivation("assign", a, TypedTriple(*triple), (kid,))
+
+
+def _lifted_skip(s, triple):
+    _, inner, outer = triple
+    return Derivation("lift", s, TypedTriple(*triple),
+                      (Derivation("skip", s, TypedTriple(0, inner, outer)),))
+
+
+def _side_loop(rule, triple, guard=None, body=None, var="x"):
+    # while (gt0(var)) { skip } by `rule` at `triple`; by default its guard
+    # and its body, lifted if need be, are judged as the rule asks.
+    w = parse(f"while (gt0({var})) {{ skip }} return x").body
+    t, inner, outer = triple
+    bound = outer if rule == "while" else t
+    g = TypedTriple(*(guard or (t, inner, bound)))
+    guard_d = Derivation("op", w.guard, g, (_leaf(w.guard.args[0], g),))
+    b = body or (t, t, bound)
+    body_d = (Derivation("skip", w.body, TypedTriple(*b)) if b[0] == 0
+              else _lifted_skip(w.body, b))
+    return Derivation(rule, w, TypedTriple(*triple), (guard_d, body_d))
+
+
+def _seq_of_skips(first, rest):
+    s = parse("skip; skip return x").body
+    return Derivation("seq", s, TypedTriple(0, 0, 0), (
+        Derivation("skip", s.first, TypedTriple(*first)),
+        Derivation("skip", s.rest, TypedTriple(*rest))))
+
+
+@pytest.mark.parametrize("forge, rule, why", [
+    (lambda: Derivation("skip", Skip(), TypedTriple(0, -1, 0)), "skip", "negative tier"),
+    (lambda: _leaf(Var("y"), (1, 1, 0)), "var", "environment gives 0"),
+    (lambda: _pred_x((1, 0, 0), (1, 0, 0)), "op",
+     "type (1,) -> 1 not admissible at inner 0"),
+    (lambda: _pred_x((1, 1, 0), (1, 1, 1)), "op", "premise channels differ"),
+    (lambda: _call((0, 1, 0), "x", "z"), "oracle", "data tier differs from call tier"),
+    (lambda: _call((0, 1, 1), "y", "z"), "oracle",
+     "bound tier differs from outer channel"),
+    (lambda: _call((1, 1, 1), "x", "x"), "oracle",
+     "call tier must sit below inner and at most outer"),
+    (lambda: Derivation("skip", Skip(), TypedTriple(1, 0, 0)), "skip",
+     "skip introduces tier 0"),
+    (lambda: _assign((0, 0, 0), "x", "y"), "assign",
+     "tier differs from assigned variable's"),
+    (lambda: _assign((1, 1, 0), "x", "y"), "assign", "assigned variable outranks the value"),
+    (lambda: _seq_of_skips((0, 0, 0), (0, 1, 0)), "seq",
+     "premises must carry the conclusion triple"),
+    (lambda: _side_loop("while", (0, 0, 0), var="y"), "while",
+     "loop tier must be at least 1"),
+    (lambda: _side_loop("while", (1, 1, 0)), "while", "loop tier exceeds outer channel"),
+    (lambda: _side_loop("while-zero", (1, 1, 1)), "while-zero",
+     "sealing rule concludes outer tier 0"),
+    (lambda: _side_loop("while", (1, 1, 1), guard=(1, 1, 0)), "while",
+     "guard triple mismatch"),
+    (lambda: _side_loop("while", (1, 1, 1), body=(1, 1, 0)), "while",
+     "body triple mismatch"),
+    (lambda: _lifted_skip(Skip(), (2, 0, 0)), "lift",
+     "lift raises the tier by exactly one"),
+], ids=["negative-tier", "environment", "not-admissible", "channels-differ",
+        "data-tier", "bound-tier", "call-tier", "skip-tier", "assigned-tier",
+        "outranks-value", "conclusion-triple", "loop-tier-zero", "loop-above-outer",
+        "seal-outer", "guard-triple", "body-triple", "lift-by-one"])
+def test_verify_flags_each_side_condition(forge, rule, why):
+    d = forge()
+    with pytest.raises(DerivationError) as failure:
+        verify_derivation(d, SIDE_GAMMA)
+    message = str(failure.value)
+    assert message.startswith(f"{rule} node for ") and message.endswith(f": {why}"), message
+
+
 def test_messages_print_the_programs_oracle():
     p = parse("y := psi(x | z) return y")
     gamma = {"x": 0, "y": 0, "z": 0}
