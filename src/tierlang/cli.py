@@ -12,9 +12,10 @@ only grows the `--emit-cnf` instance (cap + 1 clauses per record and per
 edge).  The tiers of `--triple` and `--gamma` have the same limit: each
 tier of the judgement can cost a lift node in the derivation.  A value
 above the limit is a usage error, raised before anything is printed or
-written.  A numeral whose unary word is longer than a Python string can
-be is refused before the word is built: in the source as a parse error,
-in `--input` or a `--sweep` range as a usage error.
+written.  A numeral above `syntax.MAX_WORD` (10^7) is refused before its
+word is built: in the source as a parse error, in `--input` or as a
+`--sweep` end as a usage error, before any word or list of scales is
+made.
 
 `check` and `infer` serialize the tree for `--emit-derivation` before they
 print or write anything.  JSON nests one object per tree level, and at the
@@ -53,6 +54,7 @@ from .semantics import (
 )
 from .syntax import (
     KEYWORDS,
+    MAX_WORD,
     ParseError,
     has_oracle_call,
     parse,
@@ -127,7 +129,7 @@ def _parse_range(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step <= 0 or lo > hi:
         raise ValueError(f"range {text!r} needs lo <= hi and a positive step")
-    if hi > sys.maxsize:
+    if hi > MAX_WORD:
         raise ValueError(f"range {text!r} reaches past the longest word")
     return list(range(lo, hi + 1, step))
 

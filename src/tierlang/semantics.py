@@ -13,16 +13,23 @@ has length exactly |bound| + 1 and is never empty.
 
 `run_program` compiles the program body to the source of Python
 functions, so a step costs a few bytecodes instead of a closure call, a
-type dispatch or a registry lookup.  Expressions become three-address
-code, where each node stores its word in a temporary that it shares with
-its first argument; the builtins are inlined, and a run of ticks that
-nothing between them can interrupt is charged with one addition and one
-fuel check.  Every point that may raise or call outside code, and every
-loop iteration, checks the fuel first, so the steps, the errors and the
-query log are those of the derivation at every fuel.  The source names
-no variable, operator or word of the program; they are bound through the
-namespace the source is executed in.  A compound command nested
-`_LEVELS` deep within one function becomes a function of its own, and
+type dispatch or a registry lookup.  Each program variable lives in a
+Python local, read from the store once when the run starts; a flag set
+at each assignment marks it, and only the flagged variables are written
+back when the run ends, so the final store binds exactly the inputs and
+the variables assigned at least once.  Expressions become three-address
+code: a variable or a constant is read in place, the value of an
+assignment goes straight into its target's local, and every other node
+stores its word in a temporary that it shares with its first argument.
+The builtins are inlined, and a run of ticks that nothing between them
+can interrupt is charged with one addition and one fuel check.  Every
+point that may raise or call outside code, and every loop iteration,
+checks the fuel first, so the steps, the errors and the query log are
+those of the derivation at every fuel.  The source names no variable,
+operator or word of the program; they are bound through the namespace
+the source is executed in.  A compound command nested `_LEVELS` deep
+within one function becomes a function of its own, which takes and
+returns the locals and flags of the variables its own subtree names, and
 the emitter walks the tree with an explicit stack: a program of any
 length compiles and runs, and a run needs one Python frame per `_LEVELS`
 levels of nesting.  The result is compiled once per program and registry
@@ -303,10 +310,13 @@ class _Emitter:
                           "ask": _ask}
         self.names: dict = {}  # constant -> its name in the namespace
         self.fns: dict = {}  # (operator, arity) -> its resolved function
+        self.slots: dict[str, int] = {}  # variable -> the number of its local
         self.sources: list[str] = []  # the finished functions
-        self.lines: list[str] = []
+        self.lines: list[str] | None = None  # None outside the top function
+        self.slots_named: dict[int, None] = {}  # the slots this function names
         self.indent = self.level = self.pending = 0
         self.test: str | None = None
+        self.word = ""
 
     def const(self, value) -> str:
         """The generated name that binds ``value`` in the namespace, so no
@@ -316,6 +326,13 @@ class _Emitter:
             name = self.names[value] = f"c{len(self.names)}"
             self.namespace[name] = value
         return name
+
+    def local(self, var: str) -> int:
+        """The slot of ``var``: the function that names it keeps its word in
+        the local ``v{slot}``, and sets the flag ``a{slot}`` on assignment."""
+        slot = self.slots.setdefault(var, len(self.slots))
+        self.slots_named[slot] = None
+        return slot
 
     def line(self, text: str) -> None:
         self.lines.append(" " * self.indent + text)
@@ -345,31 +362,37 @@ class _Emitter:
             self.fns[key] = fn
         return fn
 
-    def expr(self, e: Expr, k: int):
-        """Evaluate ``e`` into the temporary ``t{k}``; its arguments go to
-        ``t{k}``, ``t{k+1}``, ..., so nested calls never appear."""
+    def expr(self, e: Expr, k: int, into: str | None = None):
+        """Evaluate ``e`` and leave in ``word`` the name that holds its word:
+        the local of a variable or the name of a constant, read in place,
+        or else ``into``, or ``t{k}`` when that is None.  The arguments of
+        ``e`` go to ``t{k}``, ``t{k+1}``, ..., so nested calls never appear."""
         if isinstance(e, Var):
-            self.line(f"t{k} = get({self.const(e.name)}, '')")
+            self.word = f"v{self.local(e.name)}"
             self.pending += 1
         elif isinstance(e, OpApp):
+            args = []
             for i, arg in enumerate(e.args):
                 yield self.expr(arg, k + i)
+                args.append(self.word)
             self.pending += 1
             fn = self.resolve(e.op, len(e.args))
-            args = [f"t{k + i}" for i in range(len(e.args))]
+            self.word = into or f"t{k}"
             if type(fn) is _Constant:
-                self.line(f"t{k} = {self.const(fn.word)}")
+                self.word = self.const(fn.word)
             elif fn in _INLINE:  # total on words: its tick waits
-                self.line(f"t{k} = " + _INLINE[fn].format(*args))
+                self.line(f"{self.word} = " + _INLINE[fn].format(*args))
             else:
                 self.check()
-                self.line(f"t{k} = {self.const(fn)}({', '.join(args)})")
+                self.line(f"{self.word} = {self.const(fn)}({', '.join(args)})")
         elif isinstance(e, OracleCall):
             yield self.expr(e.data, k)
+            data = self.word
             yield self.expr(e.bound, k + 1)
             self.pending += 1
             self.check()
-            self.line(f"t{k} = ask(ans, rec, {self.const(e.name)}, t{k}, t{k + 1})")
+            bound, self.word = self.word, into or f"t{k}"
+            self.line(f"{self.word} = ask(ans, rec, {self.const(e.name)}, {data}, {bound})")
         else:
             raise TypeError(f"not an expression: {e!r}")
 
@@ -377,9 +400,12 @@ class _Emitter:
         if isinstance(c, Skip):
             self.pending += 1
         elif isinstance(c, Assign):
-            yield self.expr(c.value, 0)
+            slot = self.local(c.target)
+            yield self.expr(c.value, 0, f"v{slot}")
             self.pending += 1
-            self.line(f"d[{self.const(c.target)}] = t0")
+            if self.word != f"v{slot}":
+                self.line(f"v{slot} = {self.word}")
+            self.line(f"a{slot} = True")
         elif isinstance(c, Seq):
             # A right-nested chain's seq rules all apply after its last
             # command, so their ticks come together.
@@ -401,27 +427,29 @@ class _Emitter:
 
     def guard(self, e: Expr):
         """Evaluate a guard, and leave in ``test`` the Python condition
-        under which it is 1, or None when it is a word in ``t0`` that may
+        under which it is 1, or None when it is a word in ``word`` that may
         be stuck."""
         fn = self.resolve(e.op, len(e.args)) if isinstance(e, OpApp) else None
         if fn in _TESTS:
+            args = []
             for i, arg in enumerate(e.args):
                 yield self.expr(arg, i)
+                args.append(self.word)
             self.pending += 1
-            self.test = _TESTS[fn].format(*(f"t{i}" for i in range(len(e.args))))
+            self.test = _TESTS[fn].format(*args)
         else:
             yield self.expr(e, 0)
             self.test = None
 
-    def stuck(self, before: int) -> None:
+    def stuck(self, before: int, word: str) -> None:
         self.pending = before
         self.check()
-        self.line("raise StuckGuard(t0)")
+        self.line(f"raise StuckGuard({word})")
 
     def branch(self, c: If):
         yield self.guard(c.guard)
-        before, test = self.pending, self.test
-        heads = ("if t0 == '1':", "elif t0 == '0':") if test is None else (
+        before, test, word = self.pending, self.test, self.word
+        heads = (f"if {word} == '1':", f"elif {word} == '0':") if test is None else (
             f"if {test}:", "else:")
         for head, part in zip(heads, (c.then, c.orelse)):
             self.line(head)
@@ -433,7 +461,7 @@ class _Emitter:
         if test is None:
             self.line("else:")
             self.indent += 1
-            self.stuck(before)
+            self.stuck(before, word)
             self.indent -= 1
         self.pending = 1
 
@@ -445,13 +473,13 @@ class _Emitter:
         self.line("while True:")
         self.indent += 1
         yield self.guard(c.guard)
-        before, test = self.pending, self.test
-        self.line("if t0 != '1':" if test is None else f"if not ({test}):")
+        before, test, word = self.pending, self.test, self.word
+        self.line(f"if {word} != '1':" if test is None else f"if not ({test}):")
         self.indent += 1
         if test is None:
-            self.line("if t0 != '0':")
+            self.line(f"if {word} != '0':")
             self.indent += 1
-            self.stuck(before)
+            self.stuck(before, word)
             self.indent -= 1
         self.pending = before + 1
         self.charge()
@@ -465,24 +493,43 @@ class _Emitter:
 
     def function(self, c: Cmd):
         """Emit ``c`` as a function of its own and call it from here; the
-        ticks pending here are charged in it, as its first ones."""
-        outer = self.lines, self.indent, self.level
-        self.lines, self.indent, self.level = [], 1, 0
+        ticks pending here are charged in it, as its first ones.
+
+        The top function loads each variable it names into its local
+        once, and at its end stores back those whose flag is set.  Any
+        other passes in and returns only the locals and flags of the
+        variables its own subtree names."""
+        outer = self.lines, self.indent, self.level, self.slots_named
+        self.lines, self.indent, self.level, self.slots_named = [], 1, 0, {}
         yield self.cmd(c)
         self.charge()
         name = f"f{len(self.sources)}"
-        self.sources.append("\n".join(
-            [f"def {name}(d, s, L, ans, rec):", " get = d.get", *self.lines,
-             " return s"]))
-        self.lines, self.indent, self.level = outer
-        self.line(f"s = {name}(d, s, L, ans, rec)")
+        named = self.slots_named
+        state = "".join(f", v{i}, a{i}" for i in named)
+        if outer[0] is None:  # the top function, which names every variable
+            var = [(i, self.const(v)) for v, i in self.slots.items()]
+            head = [f"def {name}(d, s, L, ans, rec):", " get = d.get",
+                    *(f" v{i} = get({c}, ''); a{i} = False" for i, c in var)]
+            tail = [*(f" if a{i}: d[{c}] = v{i}" for i, c in var), " return s"]
+        else:
+            head = [f"def {name}(s, L, ans, rec{state}):"]
+            tail = [f" return s{state}"]
+        self.sources.append("\n".join([*head, *self.lines, *tail]))
+        self.lines, self.indent, self.level, self.slots_named = outer
+        if self.lines is not None:
+            self.slots_named.update(named)
+            self.line(f"s{state} = {name}(s, L, ans, rec{state})")
 
 
 def _compile(p: Program, registry: Registry) -> Callable[..., int]:
     """Compile ``p`` into a function ``run(store, 0, limit, answer, record)``
-    that runs its body on the store's dict, passes each oracle query to
-    ``answer`` (None when there is no oracle) and each query and answer
-    to ``record``, and returns the step total of the body.
+    that runs its body, passes each oracle query to ``answer`` (None when
+    there is no oracle) and each query and answer to ``record``, and
+    returns the step total of the body.  It reads each variable of the
+    body from the store's dict once, into a local, and at its end writes
+    back each one that an assignment has flagged; the store is left as it
+    was when the run raises.  A generated sub-function takes and returns
+    only the locals and flags of the variables its own subtree names.
 
     The function is generated as Python source and compiled with
     `compile`; it keeps all run state in its frame, so it is reentrant

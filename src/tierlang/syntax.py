@@ -57,13 +57,22 @@ def literal_op_name(word: str) -> str:
     return LITERAL_PREFIX + word
 
 
+# The longest word a numeral may denote.  A word of 10^7 symbols takes
+# 10 MB, and each builtin step copies a whole word, so a run over one that
+# long already takes hours; a numeral of about 10^10 would end in
+# MemoryError while its word is built.
+MAX_WORD = 10_000_000
+
+
 def unary_word(numeral: str) -> str:
     """The word 1^n for a decimal numeral n, refused without building it
-    when it is longer than a Python string can be."""
-    try:
-        return "1" * int(numeral)
-    except (OverflowError, ValueError):
-        raise ValueError(f"numeral of {len(numeral)} digits is too large") from None
+    when n is above MAX_WORD."""
+    if len(numeral.lstrip("0")) > len(str(MAX_WORD)):
+        raise ValueError(f"numeral of {len(numeral)} digits is too large")
+    n = int(numeral)
+    if n > MAX_WORD:
+        raise ValueError(f"numeral {n} is above the limit {MAX_WORD}")
+    return "1" * n
 
 
 def literal_word(op_name: str) -> str | None:

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import tierlang
 from tierlang.cli import MAX_TIER, main
 from tierlang.inference import ClauseSet, solve_2sat
-from tierlang.syntax import parse
+from tierlang.syntax import MAX_WORD, parse
 
 ADD_SRC = "while (gt0(x)) { x := pred(x); y := suc1(y) }\nreturn y\n"
 
@@ -471,6 +472,24 @@ def test_corpus_check_json_payload(corpus, capsys):
 
 
 HUGE = "200000000000000000000"  # 2 * 10^20: no string is that long
+# Numerals just above the word-length limit and far above it, with a
+# digit other than 0 and 1, so `--input` reads them as numbers.
+OVER, BIG = str(2 * MAX_WORD), "200000000000"
+
+
+def refused_unbuilt(argv, message, capsys):
+    """`main(argv)` exits 2 with one stderr line and no stdout, and
+    allocates neither a word nor a list of scales on the way."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -485,12 +504,15 @@ HUGE = "200000000000000000000"  # 2 * 10^20: no string is that long
      "error: --triple 10001 is above the limit 10000"),
     (["check", "--gamma", "x=1,y=100000000", "--triple", "1,1,0"],
      "error: --gamma 100000000 is above the limit 10000"),
-], ids=["input", "sweep-hi", "sweep-lo", "triple", "triple-outer", "gamma"])
+    (["run", "--input", f"x={OVER}"], f"error: numeral {OVER} is above the limit {MAX_WORD}"),
+    (["run", "--input", f"x={BIG}"], "error: numeral of 12 digits is too large"),
+    (["analyze", "--sweep", f"1:{OVER}"], f"error: range '1:{OVER}' reaches past the longest word"),
+    (["analyze", "--sweep", f"{MAX_WORD}:{BIG}:2"],
+     f"error: range '{MAX_WORD}:{BIG}:2' reaches past the longest word"),
+], ids=["input", "sweep-hi", "sweep-lo", "triple", "triple-outer", "gamma",
+        "input-over-word-limit", "input-big", "sweep-over-word-limit", "sweep-big"])
 def test_huge_numbers_are_usage_errors(argv, message, add_file, capsys):
-    assert main([argv[0], add_file, *argv[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == message + "\n"
+    refused_unbuilt([argv[0], add_file, *argv[1:]], message, capsys)
 
 
 @pytest.mark.parametrize("command", ["parse", "infer", "run"])
@@ -501,6 +523,17 @@ def test_a_huge_numeral_in_the_source_is_a_parse_error(command, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "parse error: 1:6: numeral of 21 digits is too large\n"
+
+
+@pytest.mark.parametrize("numeral, message", [
+    (OVER, f"numeral {OVER} is above the limit {MAX_WORD}"),
+    (BIG, "numeral of 12 digits is too large"),
+], ids=["over", "big"])
+def test_a_source_numeral_above_the_word_limit_is_refused(numeral, message,
+                                                          tmp_path, capsys):
+    source = tmp_path / "big.tier"
+    source.write_text(f"x := {numeral}\nreturn x\n")
+    refused_unbuilt(["parse", str(source)], "parse error: 1:6: " + message, capsys)
 
 
 def test_triple_and_gamma_at_the_limit_type(add_file, capsys):

@@ -1,15 +1,11 @@
 """Work that grows linearly with program size, counted, not timed.
 
-`trace_events` counts the line and call events that `sys.settrace`
-reports for code under `src/tierlang` while one call runs.  Counts are
-exact and the same on every machine, so a stage that turns quadratic
-shows as a log2 ratio near 2 per doubling of the input, where wall time on
-a shared machine is too noisy to tell.  Call events count each resumption
-of a generator, so a recursive generator, which passes every node up
-through all its ancestors' frames, shows too.  Neither sees work done in
-C: string copies, list and dict growth, `sorted`.  A stage that turns
-quadratic only there, such as a walk that copies its stack per node with
-`stack = stack + [...]`, passes this test.
+`work_counter.trace_events` counts the line and call events of
+`tierlang` code while one call runs, so a stage that turns quadratic
+shows as a log2 ratio near 2 per doubling of the input.  It does not see
+work done in C: string copies, list and dict growth, `sorted`.  A stage
+that turns quadratic only there, such as a walk that copies its stack
+per node with `stack = stack + [...]`, passes this test.
 
 The families are `;` chains and `while` nests, kept below the parser's
 nesting limit.  Each program's last statement holds its one oracle call,
@@ -22,12 +18,9 @@ types, and its derivation is audited.
 from __future__ import annotations
 
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
-import tierlang
 from tierlang.inference import infer, least_tiers
 from tierlang.syntax import (
     assigned_vars,
@@ -40,37 +33,10 @@ from tierlang.syntax import (
 )
 from tierlang.tiers import audit_derivation
 
-_PACKAGE = str(Path(tierlang.__file__).parent)
+from .work_counter import trace_events
 
 CHAINS = (60, 120, 240, 480)
 NESTS = (30, 60, 120, 240)
-
-
-def trace_events(fn, *args) -> int:
-    """The number of line and call events in `tierlang` code while
-    ``fn(*args)`` runs.  Each resumption of a generator is a call event."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def call(frame, event, arg):
-        nonlocal count
-        if not frame.f_code.co_filename.startswith(_PACKAGE):
-            return None
-        count += 1
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(previous)
-    return count
 
 
 def doubling_ratios(stage, family, sizes) -> list[float]:

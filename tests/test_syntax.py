@@ -1,11 +1,14 @@
 """Parser, printer and AST helper tests."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tierlang import syntax
 from tierlang.syntax import (
+    MAX_WORD,
     Assign,
     If,
     OpApp,
@@ -26,6 +29,7 @@ from tierlang.syntax import (
     pretty,
     program_size,
     program_to_json,
+    unary_word,
     variables_of,
 )
 
@@ -67,6 +71,20 @@ def test_a_numeral_too_large_for_a_word_is_a_parse_error(numeral):
         parse(f"x := 1;\ny := {numeral} return y")
     assert (err.value.line, err.value.col, err.value.message) == (
         2, 6, f"numeral of {len(numeral)} digits is too large")
+
+
+def test_unary_words_stop_at_the_word_limit():
+    assert len(unary_word(str(MAX_WORD))) == MAX_WORD
+    assert unary_word("0" * 30 + "3") == "111"
+    tracemalloc.start()
+    try:
+        for numeral in (str(MAX_WORD + 1), "10000000000", "9" * 19):
+            with pytest.raises(ValueError, match="is above the limit|is too large"):
+                unary_word(numeral)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before the word is built
 
 
 def test_string_literals_are_raw_words():
