@@ -3,39 +3,42 @@
 Subcommands: parse, check, infer, run, analyze, corpus-check.  Exit codes
 are a stable contract: 0 success (or typable), 1 untypable or failed
 check, 2 parse or usage error (bad input, missing oracle, a program too
-long or too deeply nested for the command), 3 run stuck on a bad guard,
-4 fuel exhausted.
+long or too deeply nested for the command, a file that cannot be
+written), 3 run stuck on a bad guard, 4 fuel exhausted.
+
+Each command computes all of its output first: it returns its exit code,
+its stdout and stderr text, and the files it wants written as (path,
+text) pairs.  `main` alone writes, in that order: the files, then
+stderr, then stdout.  A run that ends 2, 3 or 4, including one whose
+file cannot be written, prints nothing on stdout and one line on stderr,
+and removes the files it had already written.  So a derivation tree too
+deep for `json` (at the default recursion limit, more than about 490
+levels, such as a judgement reached by 500 lift steps) ends the command
+with one `error:` line, no verdict and no file.
 
 `--max-tier` takes 0 to `MAX_TIER` (10,000).  No least typing needs a
 tier above the program size, which is the default cap, and a larger cap
 only grows the `--emit-cnf` instance (cap + 1 clauses per record and per
 edge).  The tiers of `--triple` and `--gamma` have the same limit: each
 tier of the judgement can cost a lift node in the derivation.  A value
-above the limit is a usage error, raised before anything is printed or
-written.  A numeral above `syntax.MAX_WORD` (10^7) is refused before its
-word is built: in the source as a parse error, in `--input` or as a
-`--sweep` end as a usage error, before any word or list of scales is
-made.
+above the limit is a usage error.  A numeral above `syntax.MAX_WORD`
+(10^7) is refused before its word is built: in the source as a parse
+error, in `--input` or as a `--sweep` end as a usage error, before any
+word or list of scales is made.
 
-`check` and `infer` serialize the tree for `--emit-derivation` before they
-print or write anything.  JSON nests one object per tree level, and at the
-default recursion limit a tree more than about 490 levels deep (such as a
-judgement reached by 500 lift steps) is too deep to serialize: the command
-then exits 2 with one `error:` line, prints no verdict and writes no file.
-
-Input bindings are var=VALUE where var is a variable name, and VALUE made
-of 0/1 only is taken as a literal word and any other digit string as a
-unary number (3 means 111).
+Input bindings are var=VALUE where var is a variable name, given at most
+once, and VALUE made of 0/1 only is taken as a literal word and any other
+digit string as a unary number (3 means 111).
 Oracle behaviour comes from a JSON spec file; runs are otherwise fully
-deterministic.  TIER_SEED in the environment overrides --seed.  Outputs
-print each oracle call with the symbol it records; a program uses one.
+deterministic, and `analyze` draws its random tables from `--seed`.
+Outputs print each oracle call with the symbol it records; a program
+uses one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -73,6 +76,9 @@ EXIT_FUEL = 4
 
 MAX_TIER = 10_000
 
+# What a command returns: exit code, stdout, stderr, and (path, text) files.
+Outcome = tuple[int, str, str, list[tuple[str, str]]]
+
 
 def _read_program(path: str):
     return parse(Path(path).read_text(encoding="utf-8"))
@@ -97,6 +103,8 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
         if (not re.fullmatch(r"\w+", name) or name in KEYWORDS
                 or not (name[0].isalpha() or name[0] == "_")):
             raise ValueError(f"input name {name!r} is not a variable name")
+        if name in out:
+            raise ValueError(f"--input gives {name!r} twice")
         out[name] = _parse_input_value(value.strip())
     return out
 
@@ -134,13 +142,6 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _seed(args) -> int:
-    env = os.environ.get("TIER_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def _capped(option: str, tier: int | None) -> int | None:
     """A tier given on the command line, refused above MAX_TIER."""
     if tier is not None and tier > MAX_TIER:
@@ -148,106 +149,77 @@ def _capped(option: str, tier: int | None) -> int | None:
     return tier
 
 
-def _load_oracle(path: str | None) -> TableOracle | None:
-    if path is None:
-        return None
-    return TableOracle.load(path)
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
-def _derivation_text(derivation) -> str:
-    # Serialized before anything is printed or opened, so a tree too deep
-    # for `json` ends the command with one error line and no file.
-    return json.dumps(derivation.to_json(), indent=2)
-
-
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> Outcome:
     program = _read_program(args.source)
     if args.format == "json":
-        print(json.dumps(program_to_json(program), indent=2))
-    else:
-        print(pretty(program), end="")
-    return EXIT_OK
+        return EXIT_OK, _lines([json.dumps(program_to_json(program), indent=2)]), "", []
+    return EXIT_OK, pretty(program), "", []
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Outcome:
     program = _read_program(args.source)
     gamma = _parse_gamma(args.gamma) if args.gamma else {}
     triple = _parse_triple(args.triple)
     derivation = check(program, gamma, triple, t_max=_capped("--max-tier", args.max_tier))
     ok = derivation is not None
-    tree = None
+    files = []
     if ok and args.emit_derivation:
-        tree = _derivation_text(derivation)
+        files.append((args.emit_derivation, json.dumps(derivation.to_json(), indent=2)))
     if args.format == "json":
         payload = {"ok": ok, "gamma": gamma, "triple": list(triple)}
-        if tree is not None:
+        if files:
             payload["derivation"] = args.emit_derivation
-        print(json.dumps(payload, indent=2))
+        out = json.dumps(payload, indent=2)
     else:
-        print("typable at the given judgement" if ok else "does not type there")
-    if tree is not None:
-        Path(args.emit_derivation).write_text(tree, encoding="utf-8")
-    return EXIT_OK if ok else EXIT_UNTYPABLE
+        out = "typable at the given judgement" if ok else "does not type there"
+    return (EXIT_OK if ok else EXIT_UNTYPABLE), _lines([out]), "", files
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> Outcome:
     program = _read_program(args.source)
     result = infer(program, t_max=_capped("--max-tier", args.max_tier))
-    tree = None
+    files = []
     if result is not None and args.emit_derivation:
-        tree = _derivation_text(result.derivation)
+        files.append((args.emit_derivation,
+                      json.dumps(result.derivation.to_json(), indent=2)))
     if args.emit_cnf:
         # The instance of the mode the typing was found in, so its greatest
         # model decodes to the reported typing; the sealed mode if none.
         outer_zero = result is None or result.outer_zero
         encoding = encode(program, t_max=args.max_tier, outer_zero=outer_zero)
-        Path(args.emit_cnf).write_text(to_dimacs(encoding), encoding="utf-8")
+        files.append((args.emit_cnf, to_dimacs(encoding)))
     if result is None:
-        if args.format == "json":
-            print(json.dumps({"typable": False}))
-        else:
-            print("untypable")
-        return EXIT_UNTYPABLE
+        out = [json.dumps({"typable": False}) if args.format == "json" else "untypable"]
+        return EXIT_UNTYPABLE, _lines(out), "", files
     if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2))
+        out = [json.dumps(result.to_json(), indent=2)]
     else:
         gamma = " ".join(f"{x}:{t}" for x, t in sorted(result.gamma.items()))
         t, inner, outer = result.triple
-        print(f"typable  tier {t}  inner {inner}  outer {outer}")
-        print(f"gamma    {gamma}")
-    if tree is not None:
-        Path(args.emit_derivation).write_text(tree, encoding="utf-8")
-    return EXIT_OK
+        out = [f"typable  tier {t}  inner {inner}  outer {outer}", f"gamma    {gamma}"]
+    return EXIT_OK, _lines(out), "", files
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> Outcome:
     program = _read_program(args.source)
     inputs = _parse_bindings(args.input)
-    oracle = _load_oracle(args.oracle)
+    oracle = None if args.oracle is None else TableOracle.load(args.oracle)
     result = run_program(program, inputs, oracle=oracle, fuel=args.fuel)
-    lr = analysis.count_lookahead_revisions(result.trace)
+    trace = result.trace
+    lr = analysis.count_lookahead_revisions(trace)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "value": result.value,
-                    "steps": result.trace.steps,
-                    "m": result.trace.m,
-                    "lr": lr,
-                    "queries": [list(q) for q in result.trace.queries],
-                }
-            )
-        )
-    else:
-        print(result.value)
-        print(
-            f"steps {result.trace.steps}  m {result.trace.m}  lr {lr}",
-            file=sys.stderr,
-        )
-    return EXIT_OK
+        payload = {"value": result.value, "steps": trace.steps, "m": trace.m, "lr": lr,
+                   "queries": [list(q) for q in trace.queries]}
+        return EXIT_OK, _lines([json.dumps(payload)]), "", []
+    return (EXIT_OK, _lines([result.value]),
+            _lines([f"steps {trace.steps}  m {trace.m}  lr {lr}"]), [])
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Outcome:
     program = _read_program(args.source)
     names = list(variables_of(program))
     if args.scale_vars:
@@ -256,27 +228,25 @@ def cmd_analyze(args) -> int:
         if unknown:
             raise ValueError(f"--scale-vars: the program has no variable {unknown[0]!r}")
         names = scaled
-    # Every option is checked before anything is printed or written.
     if args.fuel < 0:
         raise ValueError(f"negative fuel {args.fuel}")
     if args.trials < 0:
         raise ValueError(f"negative trial count {args.trials}")
+    if args.plot_data and not args.sweep:
+        raise ValueError("--plot-data needs --sweep")
     t_max = _capped("--max-tier", args.max_tier)
-    seed = _seed(args)
-    oracle = _load_oracle(args.oracle)
+    oracle = None if args.oracle is None else TableOracle.load(args.oracle)
     if args.sweep:
         scales = _parse_range(args.sweep)
     result = infer(program, t_max=t_max, with_derivation=False)
+    out, err, files = [], [], []
     if result is None:
-        print(
-            "warning: program is untypable; measurements carry no guarantees",
-            file=sys.stderr,
-        )
+        err.append("warning: program is untypable; measurements carry no guarantees")
     payload: dict = {"typable": result is not None}
     status = EXIT_OK
     if args.sweep:
         if oracle is None and has_oracle_call(program):
-            oracle = analysis.random_table_oracle(random.Random(seed))
+            oracle = analysis.random_table_oracle(random.Random(args.seed))
         report = analysis.sweep(
             program,
             analysis.unary_inputs(*names),
@@ -285,42 +255,39 @@ def cmd_analyze(args) -> int:
             fuel=args.fuel,
         )
         payload["sweep"] = report.to_json()
-        if args.format != "json":
-            print(report.to_text())
+        out.append(report.to_text())
         if args.plot_data:
-            Path(args.plot_data).write_text(report.to_tsv(), encoding="utf-8")
+            files.append((args.plot_data, report.to_tsv()))
     if args.ni:
         if result is None:
-            print("cannot test non-interference without a typing", file=sys.stderr)
+            err.append("cannot test non-interference without a typing")
             status = EXIT_UNTYPABLE
         else:
-            levels = sorted(set(result.gamma.values()))
-            reports = []
-            for level in levels:
-                rep = analysis.noninterference_test(
+            reports = [
+                analysis.noninterference_test(
                     program,
                     result.gamma,
                     level,
                     trials=args.trials,
-                    seed=seed,
+                    seed=args.seed,
+                    fuel=args.fuel,
                 )
-                reports.append(rep)
-                if args.format != "json":
-                    verdict = "PASS" if rep.ok else "FAIL"
-                    print(f"non-interference at level {level}: {verdict}"
-                          f" ({rep.trials} trials)")
-                if not rep.ok:
-                    status = EXIT_UNTYPABLE
+                for level in sorted(set(result.gamma.values()))
+            ]
+            for rep in reports:
+                out.append(f"non-interference at level {rep.level}: "
+                           f"{'PASS' if rep.ok else 'FAIL'} ({rep.trials} trials)")
+            if not all(rep.ok for rep in reports):
+                status = EXIT_UNTYPABLE
             payload["ni"] = [r.to_json() for r in reports]
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    return status
+        out = [json.dumps(payload, indent=2)]
+    return status, _lines(out), _lines(err), files
 
 
-def cmd_corpus_check(args) -> int:
+def cmd_corpus_check(args) -> Outcome:
     registry = builtin_registry()
-    failures = 0
-    results = []
+    results, lines = [], []
     for entry in load_corpus():
         program = entry.program(registry)
         result = infer(program, t_max=entry.t_max, registry=registry)
@@ -337,15 +304,13 @@ def cmd_corpus_check(args) -> int:
             report = audit_derivation(result.derivation, result.gamma)
             if not report.ok:
                 problems.append(f"audit: {report.violations[0].detail}")
-        ok = not problems
-        failures += not ok
-        results.append({"name": entry.name, "ok": ok, "problems": problems})
-        if args.format != "json":
-            mark = "ok" if ok else "FAIL " + "; ".join(problems)
-            print(f"{entry.name:<24} {mark}")
+        results.append({"name": entry.name, "ok": not problems, "problems": problems})
+        mark = "FAIL " + "; ".join(problems) if problems else "ok"
+        lines.append(f"{entry.name:<24} {mark}")
     if args.format == "json":
-        print(json.dumps({"results": results}, indent=2))
-    return EXIT_OK if failures == 0 else EXIT_UNTYPABLE
+        lines = [json.dumps({"results": results}, indent=2)]
+    status = EXIT_OK if all(r["ok"] for r in results) else EXIT_UNTYPABLE
+    return status, _lines(lines), "", []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,48 +319,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tiered while-language: check, infer, run, analyze.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    shared = {
+        "--max-tier": {"type": int, "default": None},
+        "--oracle": {"metavar": "PATH", "help": "oracle spec JSON file"},
+        "--emit-derivation": {"metavar": "PATH",
+                              "help": "write the derivation tree as JSON"},
+    }
 
-    def common(p, source=True):
+    def command(name, func, help, *options, source=True):
+        p = sub.add_parser(name, help=help)
         if source:
             p.add_argument("source", help="program file")
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="output format",
         )
+        for option in options:
+            p.add_argument(option, **shared[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("parse", help="parse and pretty-print a program")
-    common(p)
-    p.set_defaults(func=cmd_parse)
+    command("parse", cmd_parse, "parse and pretty-print a program")
 
-    p = sub.add_parser("check", help="check one typing judgement")
-    common(p)
+    p = command("check", cmd_check, "check one typing judgement",
+                "--max-tier", "--emit-derivation")
     p.add_argument("--gamma", help="variable tiers, e.g. x=1,y=0")
     p.add_argument("--triple", required=True, help="judgement as t,inner,outer")
-    p.add_argument("--max-tier", type=int, default=None)
-    p.add_argument("--emit-derivation", metavar="PATH",
-                   help="write the derivation tree as JSON")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("infer", help="infer least tiers")
-    common(p)
-    p.add_argument("--max-tier", type=int, default=None)
+    p = command("infer", cmd_infer, "infer least tiers", "--max-tier", "--emit-derivation")
     p.add_argument("--emit-cnf", metavar="PATH",
                    help="write the clause system in DIMACS form")
-    p.add_argument("--emit-derivation", metavar="PATH",
-                   help="write the derivation tree as JSON")
-    p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("run", help="execute a program")
-    common(p)
+    p = command("run", cmd_run, "execute a program", "--oracle")
     p.add_argument("--input", action="append", default=[], metavar="VAR=VAL",
                    help="initial store binding, repeatable")
-    p.add_argument("--oracle", metavar="PATH", help="oracle spec JSON file")
     p.add_argument("--fuel", type=int, default=None,
                    help="abort after this many steps")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("analyze", help="measure steps, revisions, interference")
-    common(p)
+    p = command("analyze", cmd_analyze, "measure steps, revisions, interference",
+                "--max-tier", "--oracle")
     p.add_argument("--sweep", metavar="LO:HI[:STEP]",
                    help="run an input sweep over this scale range")
     p.add_argument("--scale-vars", metavar="X,Y",
@@ -404,39 +366,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="randomized non-interference trials")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", metavar="PATH", help="oracle spec JSON file")
     p.add_argument("--fuel", type=int, default=analysis.DEFAULT_SWEEP_FUEL)
-    p.add_argument("--max-tier", type=int, default=None)
     p.add_argument("--plot-data", metavar="PATH",
                    help="write m/steps pairs as TSV")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("corpus-check", help="regression-check bundled programs")
-    common(p, source=False)
-    p.set_defaults(func=cmd_corpus_check)
+    command("corpus-check", cmd_corpus_check, "regression-check bundled programs",
+            source=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    written: list[str] = []
     try:
-        return args.func(args)
+        code, out, err, files = args.func(args)
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as f:
+                written.append(path)
+                f.write(text)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, err = EXIT_PARSE, f"parse error: {exc}"
     except StuckGuard as exc:
-        print(f"stuck: guard evaluated to {exc.value!r}", file=sys.stderr)
-        return EXIT_STUCK
+        code, err = EXIT_STUCK, f"stuck: guard evaluated to {exc.value!r}"
     except FuelExhausted as exc:
-        print(f"fuel exhausted after {exc.fuel} steps", file=sys.stderr)
-        return EXIT_FUEL
+        code, err = EXIT_FUEL, f"fuel exhausted after {exc.fuel} steps"
     except (OracleRequired, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, err = EXIT_PARSE, f"error: {exc}"
     except RecursionError as exc:
-        print(f"error: program too long or too deeply nested ({exc})", file=sys.stderr)
-        return EXIT_PARSE
+        code, err = EXIT_PARSE, f"error: program too long or too deeply nested ({exc})"
+    else:
+        sys.stderr.write(err)
+        sys.stdout.write(out)
+        return code
+    for path in written:
+        Path(path).unlink(missing_ok=True)
+    print(err, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,9 @@ from tierlang.cli import MAX_TIER, main
 from tierlang.inference import ClauseSet, solve_2sat
 from tierlang.syntax import MAX_WORD, parse
 
+from . import fuzz_cli
+from .conftest import time_bound
+
 ADD_SRC = "while (gt0(x)) { x := pred(x); y := suc1(y) }\nreturn y\n"
 
 
@@ -73,14 +76,19 @@ def test_run_fuel_exhaustion(add_file, capsys):
     ["run", "--input", "while=3"],
     ["check", "--gamma", "x=1,x=0,y=0", "--triple", "1,1,0"],
     ["check", "--gamma", "x", "--triple", "1,1,0"],
+    ["analyze", "--plot-data", "out.tsv"],
+    ["run", "--input", "x=11", "--input", "x=111"],
 ], ids=["negative-fuel", "negative-sweep-fuel", "negative-trials", "negative-step",
         "empty-range", "empty-name", "spaced-name", "keyword-name", "repeated-gamma-name",
-        "gamma-without-tier"])
-def test_bad_numbers_and_names_are_usage_errors(argv, add_file, capsys):
+        "gamma-without-tier", "plot-data-without-sweep", "repeated-input-name"])
+def test_bad_numbers_and_names_are_usage_errors(argv, add_file, tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main([argv[0], add_file, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     _assert_one_error_line(captured.err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["add.tier"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -117,6 +125,46 @@ def test_max_tier_at_the_limit_keeps_the_typing(add_file, capsys):
 def test_bad_gamma_is_named(gamma, message, add_file, capsys):
     assert main(["check", add_file, "--gamma", gamma, "--triple", "1,1,0"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("inputs", [
+    ["x=11", "x=111"],
+    ["x=1", "y=0", " x =0"],
+], ids=["numbers", "spaced-words"])
+def test_repeated_input_is_named(inputs, add_file, capsys):
+    assert main(["run", add_file, *(a for value in inputs for a in ("--input", value))]) == 2
+    assert capsys.readouterr() == ("", "error: --input gives 'x' twice\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ni", "--trials", "5", "--fuel", "3"],
+    ["--ni", "--trials", "5", "--fuel", "3", "--format", "json"],
+    ["--sweep", "1:1", "--ni", "--trials", "5", "--fuel", "20"],
+], ids=["text", "json", "after-sweep"])
+def test_non_interference_trials_stop_at_the_fuel(argv, add_file, capsys):
+    # n=1 sweeps in 15 steps, within fuel 20; the trials, on words up to 12
+    # symbols long, run out of it.
+    assert main(["analyze", add_file, *argv]) == 4
+    fuel = argv[argv.index("--fuel") + 1]
+    assert capsys.readouterr() == ("", f"fuel exhausted after {fuel} steps\n")
+
+
+def test_non_interference_trials_stop_at_the_fuel_in_a_loop_that_never_ends(tmp_path,
+                                                                              capsys):
+    source = tmp_path / "spin.tier"
+    source.write_text("while (gt0(x)) { skip }\nreturn x\n")
+    with time_bound(10):
+        assert main(["analyze", str(source), "--ni", "--trials", "2", "--fuel", "400"]) == 4
+    assert capsys.readouterr() == ("", "fuel exhausted after 400 steps\n")
+
+
+def test_an_untypable_program_out_of_fuel_prints_only_the_fuel_line(corpus, tmp_path,
+                                                                   capsys):
+    # The untypable warning is not printed when the run fails.
+    source = tmp_path / "blowup.tier"
+    source.write_text(corpus["exp_blowup"].source())
+    assert main(["analyze", str(source), "--sweep", "0:2", "--fuel", "40"]) == 4
+    assert capsys.readouterr() == ("", "fuel exhausted after 40 steps\n")
 
 
 def test_run_stuck_guard(tmp_path, capsys):
@@ -332,6 +380,38 @@ def test_infer_writes_no_file_when_the_derivation_is_too_deep(tmp_path, capsys):
     assert not cnf.exists() and not tree.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--triple", "1,1,0", "--emit-derivation", "BAD"],
+    ["infer", "--emit-cnf", "BAD"],
+    ["infer", "--emit-derivation", "BAD"],
+    ["analyze", "--sweep", "1:3", "--plot-data", "BAD"],
+    ["infer", "--emit-cnf", "ok.cnf", "--emit-derivation", "BAD"],
+    ["infer", "--emit-derivation", "ok.json", "--emit-cnf", "BAD"],
+], ids=["check-derivation", "infer-cnf", "infer-derivation", "analyze-plot-data",
+        "cnf-then-bad-derivation", "derivation-then-bad-cnf"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_unwritable_file_fails_the_run_with_no_output(argv, fmt, add_file, tmp_path,
+                                                         capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "missing" / "out"
+    argv = [str(bad) if a == "BAD" else a for a in argv]
+    assert main([argv[0], add_file, *argv[1:], "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{bad}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["add.tier"]
+
+
+def test_an_untypable_sweep_with_an_unwritable_plot_prints_only_the_error(
+        corpus, tmp_path, capsys):
+    source = tmp_path / "blowup.tier"
+    source.write_text(corpus["exp_blowup"].source())
+    bad = tmp_path / "missing" / "p.tsv"
+    assert main(["analyze", str(source), "--sweep", "1:3", "--plot-data", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{bad}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blowup.tier"]
+
+
 def test_derivations_label_calls_with_the_programs_oracle(tmp_path, capsys):
     src = tmp_path / "psi.tier"
     src.write_text("y := psi(x | z)\nreturn y\n")
@@ -542,9 +622,11 @@ def test_triple_and_gamma_at_the_limit_type(add_file, capsys):
     assert capsys.readouterr().out == "typable at the given judgement\n"
 
 
-def test_seed_env_override(add_file, monkeypatch, capsys):
-    monkeypatch.setenv("TIER_SEED", "99")
-    assert main(["analyze", add_file, "--ni", "--trials", "5"]) == 0
+def test_the_cli_contract_holds_on_drawn_command_lines(tmp_path):
+    # `tests/fuzz_cli.py` runs the same draw at any size.
+    for argv in fuzz_cli.cases(500, seed=0, work=tmp_path):
+        with time_bound(10):
+            assert fuzz_cli.contract_violations(argv) == [], argv
 
 
 def test_console_script_installed():
