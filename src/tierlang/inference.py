@@ -5,12 +5,12 @@ carries a tier (variable, command node, operator or oracle expression, and
 the two root channels) gets a record, and each typing rule becomes order
 facts between records: a <= b, a == b, a < b, or a pin of one record to an
 exact tier, an upper bound or a lower bound of 1.  `_rules` is the one place
-that turns the typing rules into these facts, and `_Graph` is the one sink
-that records them.  `_rules` also lists every node occurrence in a node
-table, children before parents, with the rule that types it and the
-records of its tier and its two channels; the checker in `tiers` folds that
-table into a derivation, and `encode` names the records in its legend
-from it.
+that turns the typing rules into these facts, and it writes them straight
+into the plain lists of a `_Graph`, with no method call per fact.  `_rules`
+also lists every node occurrence in a node table, children before parents,
+with the rule that types it and the records of its tier and its two
+channels; the checker in `tiers` folds that table into a derivation, and
+`encode` names the records in its legend from it.
 
 Each typing rule is a conjunction of such facts except the choice between the
 two while rules.  That choice is global: the rule that seals the outer
@@ -23,17 +23,23 @@ treats top-level loops exactly like nested ones.
 Every fact is a difference constraint tier[b] >= tier[a] + w with w in
 {0, 1}, plus lower and upper pins, so the pointwise least typing is a
 longest-path fixpoint (CLRS 24.4).  One builder, `_constraints`, checks the
-knobs, fixes the tier cap and the mode, and has `_rules` record the facts
-in a fresh `_Graph`, each as one weighted edge in the predecessor list of
-the record it bounds from below; `least_tiers` and `encode` both start
-from it.  `least_tiers` solves in one pass of Tarjan's strongly connected
-components over those lists.  A component closes only after every record
-it depends on, so its least tier is set as it closes: its highest lower
-pin, or an outside predecessor's tier plus the edge weight if that is
-higher.  An edge of weight 1 between two members, or a tier above t_max,
-means no typing, and so does a record above its upper pin at the end.
-The `TierSolution` it returns keeps the graph it solved.  `infer`,
-`typable` and the checker in `tiers` all solve through `least_tiers`.
+knobs, fixes the mode, has `_rules` record the facts in a fresh `_Graph`,
+each as one weighted edge in the predecessor list of the record it bounds
+from below, and fixes the tier cap; the default cap, the program size, is
+read off the node table, so typing never walks the tree for it.
+`least_tiers`, `_first_mode`, `typable` and `encode` all start from it.
+`_Graph.solve` finds the least tiers in one pass of Tarjan's strongly
+connected components over those lists.  A component closes only after
+every record it depends on, so its least tier is set as it closes: its
+highest lower pin, or an outside predecessor's tier plus the edge weight
+if that is higher.  An edge of weight 1 between two members, or a tier
+above t_max, means no typing, and so does a record above its upper pin at
+the end.  `least_tiers` solves one mode and returns a `TierSolution` that
+keeps the graph it solved; the checker in `tiers` solves through it.
+`_first_mode`, behind `infer` and `check_any`, tries the sealed mode and
+then the other, and hands the cap the first settled on to the second.
+`typable` only needs the verdict: it solves the two graphs the same way
+and builds no solution.
 
 `encode` expands the same graph into 2-SAT over threshold bits, kept as an
 export and as the cross-check oracle in the tests.  Each record gets t_max+1
@@ -57,6 +63,7 @@ most" bits is least in tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .operators import DEFAULT_REGISTRY, Positive, Registry
@@ -71,7 +78,6 @@ from .syntax import (
     Var,
     While,
     part_names,
-    program_size,
     variables_of,
 )
 
@@ -144,12 +150,14 @@ class Encoding:
 
 
 class _Graph:
-    """Sink for order facts that keeps them as difference constraints.
+    """Order facts kept as difference constraints, in three plain lists
+    that `_rules` appends to directly.
 
     `pred[b]` lists a for tier[b] >= tier[a] and ~a for the strict
     tier[b] >= tier[a] + 1, so each fact is stored once, at the record it
-    bounds from below.  Pins become lower and upper bounds on the records
-    they touch; every tier is capped at `cap`.  `solve` finds the least
+    bounds from below; a record is an index into `pred`.  Pins become lower
+    bounds in `low` and upper bounds in `high`, each a (record, tier) pair;
+    every tier is capped at `cap`.  `solve` finds the least
     tiers; `threshold_clauses` expands the same facts into the 2-SAT export,
     cap+1 clauses per record and per edge plus one unit per bound, and the
     tallies give that instance's size without building it.
@@ -171,31 +179,11 @@ class _Graph:
         pins = len(self.low) + len(self.high)
         return (len(self.pred) + edges) * (self.cap + 1) + pins
 
-    def new_record(self) -> int:
-        self.pred.append([])
-        return len(self.pred) - 1
-
-    def leq(self, a: int, b: int) -> None:
-        self.pred[b].append(a)
-
-    def eq(self, a: int, b: int) -> None:
-        self.pred[b].append(a)
-        self.pred[a].append(b)
-
-    def lt(self, a: int, b: int) -> None:
-        self.pred[b].append(~a)
-
     def pin(self, record: int, tier: int) -> None:
         """Force an exact tier."""
-        self.pin_at_most(record, tier)
+        self.high.append((record, tier))
         if tier > 0:
             self.low.append((record, tier))
-
-    def pin_at_most(self, record: int, tier: int) -> None:
-        self.high.append((record, tier))
-
-    def pin_positive(self, record: int) -> None:
-        self.low.append((record, 1))
 
     def solve(self) -> list[int] | None:
         """Least tier per record, or None when the facts are unsatisfiable.
@@ -268,8 +256,9 @@ class _Graph:
                         low[path[-1]] = low[v]
                     if path and base[path[-1]] < t:
                         base[path[-1]] = t
-        if any(tiers[r] > t for r, t in self.high):
-            return None
+        for r, t in self.high:
+            if tiers[r] > t:
+                return None
         return tiers
 
     def threshold_clauses(self) -> ClauseSet:
@@ -305,12 +294,14 @@ def _constraints(
     triple: tuple[int, int, int] | None,
     outer_zero: bool | None,
 ) -> tuple[_Graph, _Records, bool]:
-    """Validate the pins, fix the tier cap and the mode, and feed the typing
-    constraints to a fresh graph; return it, the records and the mode."""
-    if t_max is None:
-        t_max = program_size(program)
-    elif t_max < 0:
+    """Validate the pins, fix the mode, feed the typing constraints to a
+    fresh graph and fix its tier cap; return the graph, the records and the
+    mode.  The default cap, the program size, is read off the node table:
+    one row per node, one more per assignment for its target, and one for
+    the program node."""
+    if t_max is not None and t_max < 0:
         raise ValueError(f"negative tier cap {t_max}")
+    pinned = 0  # the highest pinned tier, which the cap must reach
     if gamma:
         known = set(variables_of(program))
         for name, tier in gamma.items():
@@ -318,126 +309,166 @@ def _constraints(
                 raise ValueError(f"gamma mentions unknown variable {name!r}")
             if tier < 0:
                 raise ValueError(f"gamma gives {name!r} negative tier {tier}")
-        t_max = max(t_max, *gamma.values())
+        pinned = max(gamma.values())
     if triple is not None:
         if len(triple) != 3 or min(triple) < 0:
             raise ValueError(f"bad triple {triple!r}")
-        t_max = max(t_max, *triple)
+        pinned = max(pinned, *triple)
         outer_zero = triple[2] == 0
     elif outer_zero is None:
         outer_zero = True
-    graph = _Graph(t_max)
+    graph = _Graph(0)  # its cap is fixed below, once the table is built
     records = _rules(program, graph, registry, outer_zero, gamma, triple)
+    if t_max is None:
+        rules = list(map(itemgetter(0), records.nodes))
+        t_max = len(rules) + rules.count(RULE_ASSIGN) + 1
+    graph.cap = max(t_max, pinned)
     return graph, records, outer_zero
 
 
 def _rules(
     program: Program,
-    b: _Graph,
+    graph: _Graph,
     registry: Registry | None,
     outer_zero: bool,
     gamma: dict[str, int] | None,
     triple: tuple[int, int, int] | None,
 ) -> _Records:
-    """Feed the typing constraints of a program to graph `b`; return the
+    """Feed the typing constraints of a program to `graph`; return the
     records of the variables, the node table and the two root channels.
 
     Records are created in preorder; rows are appended children first, so
-    the last row is the root command's."""
+    the last row is the root command's.  Each fact goes straight into the
+    graph's lists: ``a <= b`` appends a to ``pred[b]``, ``a < b`` appends
+    ~a, ``a == b`` is both directions of <=, and a pin appends to ``low``
+    (above 0 only) and ``high``."""
     if registry is None:
         registry = DEFAULT_REGISTRY
-    var_records = {x: b.new_record() for x in variables_of(program)}
-    root_in = b.new_record()
-    root_out = b.new_record()
+    pred, low, high = graph.pred, graph.low, graph.high
+    var_records = {}
+    for x in variables_of(program):
+        var_records[x] = len(pred)
+        pred.append([])
+    root_in = len(pred)
+    root_out = root_in + 1
+    pred += [], []
     nodes: list[Row] = []
+    row = nodes.append
+    ops: dict[str, tuple[int, bool]] = {}  # operator -> (arity, positive)
 
     def expr(e, in_ref: int, out_ref: int) -> int:
-        if isinstance(e, Var):
+        cls = type(e)
+        if cls is Var:
             # Leaves alias the variable record; the rule for variables puts
             # no constraint on either channel.
             rec = var_records[e.name]
-            rule, premises = RULE_VAR, 0
-        elif isinstance(e, OpApp):
-            spec = registry.lookup(e.op)
-            rec = b.new_record()
-            for arg in e.args:
+            row((RULE_VAR, e, rec, in_ref, out_ref, 0))
+            return rec
+        if cls is OpApp:
+            op = ops.get(e.op)
+            if op is None:
+                spec = registry.lookup(e.op)
+                op = ops[e.op] = (spec.arity, isinstance(spec.classification, Positive))
+            arity, positive = op
+            rec = len(pred)
+            pred.append([])
+            into_in = pred[in_ref]
+            args = e.args
+            for arg in args:
                 arec = expr(arg, in_ref, out_ref)
-                b.leq(rec, arec)
-                b.leq(arec, in_ref)
-            if spec.arity == 0:
-                b.leq(rec, in_ref)
-            if isinstance(spec.classification, Positive):
-                b.lt(rec, in_ref)
-            rule, premises = RULE_OP, len(e.args)
-        elif isinstance(e, OracleCall):
-            rec = b.new_record()
+                pred[arec].append(rec)  # rec <= arg
+                into_in.append(arec)  # arg <= in
+            if arity == 0:
+                into_in.append(rec)  # rec <= in
+            if positive:
+                into_in.append(~rec)  # rec < in
+            row((RULE_OP, e, rec, in_ref, out_ref, len(args)))
+            return rec
+        if cls is OracleCall:
+            rec = len(pred)
+            pred.append([])
             drec = expr(e.data, in_ref, out_ref)
             brec = expr(e.bound, in_ref, out_ref)
-            b.eq(rec, drec)
-            b.eq(brec, out_ref)
-            b.lt(rec, in_ref)
-            b.leq(rec, out_ref)
-            rule, premises = RULE_ORACLE, 2
-        else:
-            raise TypeError(f"not an expression: {e!r}")
-        nodes.append((rule, e, rec, in_ref, out_ref, premises))
-        return rec
+            pred[drec].append(rec)  # rec == data
+            pred[rec].append(drec)
+            into_out = pred[out_ref]
+            into_out.append(brec)  # bound == out
+            pred[brec].append(out_ref)
+            pred[in_ref].append(~rec)  # rec < in
+            into_out.append(rec)  # rec <= out
+            row((RULE_ORACLE, e, rec, in_ref, out_ref, 2))
+            return rec
+        raise TypeError(f"not an expression: {e!r}")
 
     def cmd(c, in_ref: int, out_ref: int, nested: bool) -> int:
-        if isinstance(c, Skip):
-            rec = b.new_record()
-            b.pin(rec, 0)
-            rule, premises = RULE_SKIP, 0
-        elif isinstance(c, Assign):
-            rec = b.new_record()
-            b.eq(rec, var_records[c.target])
-            erec = expr(c.value, in_ref, out_ref)
-            b.leq(var_records[c.target], erec)
-            rule, premises = RULE_ASSIGN, 1
-        elif isinstance(c, Seq):
-            rec = b.new_record()
-            b.leq(cmd(c.first, in_ref, out_ref, nested), rec)
-            b.leq(cmd(c.rest, in_ref, out_ref, nested), rec)
+        cls = type(c)
+        rec = len(pred)
+        if cls is Seq:
+            pred.append([])
+            first = cmd(c.first, in_ref, out_ref, nested)
+            rest = cmd(c.rest, in_ref, out_ref, nested)
+            pred[rec] += first, rest  # first <= rec, rest <= rec
             rule, premises = RULE_SEQ, 2
-        elif isinstance(c, If):
-            rec = b.new_record()
-            b.eq(expr(c.guard, in_ref, out_ref), rec)
-            b.leq(cmd(c.then, in_ref, out_ref, nested), rec)
-            b.leq(cmd(c.orelse, in_ref, out_ref, nested), rec)
+        elif cls is Assign:
+            var = var_records[c.target]
+            pred.append([var])  # var == rec
+            pred[var].append(rec)
+            pred[expr(c.value, in_ref, out_ref)].append(var)  # var <= value
+            rule, premises = RULE_ASSIGN, 1
+        elif cls is Skip:
+            pred.append([])
+            high.append((rec, 0))  # pinned to 0
+            rule, premises = RULE_SKIP, 0
+        elif cls is If:
+            own = []
+            pred.append(own)
+            guard = expr(c.guard, in_ref, out_ref)
+            own.append(guard)  # guard == rec
+            pred[guard].append(rec)
+            own.append(cmd(c.then, in_ref, out_ref, nested))  # then <= rec
+            own.append(cmd(c.orelse, in_ref, out_ref, nested))  # else <= rec
             rule, premises = RULE_IF, 3
-        elif isinstance(c, While):
-            rec = b.new_record()
-            b.pin_positive(rec)
+        elif cls is While:
+            own = []
+            pred.append(own)
+            low.append((rec, 1))  # at least 1
             if nested or not outer_zero:
                 rule, bound_ref = RULE_WHILE, out_ref
-                b.leq(rec, bound_ref)
+                pred[out_ref].append(rec)  # rec <= out
             else:
                 # Sealed mode: the loop's own tier bounds the oracle channel
                 # of everything inside it, and the rule concludes at the
                 # root outer channel, pinned to 0.
                 rule, bound_ref = RULE_WHILE_ZERO, rec
-            b.eq(expr(c.guard, in_ref, bound_ref), rec)
-            b.leq(cmd(c.body, rec, bound_ref, True), rec)
+            guard = expr(c.guard, in_ref, bound_ref)
+            own.append(guard)  # guard == rec
+            pred[guard].append(rec)
+            own.append(cmd(c.body, rec, bound_ref, True))  # body <= rec
             premises = 2
         else:
             raise TypeError(f"not a command: {c!r}")
-        nodes.append((rule, c, rec, in_ref, out_ref, premises))
+        row((rule, c, rec, in_ref, out_ref, premises))
         return rec
 
-    root_rec = cmd(program.body, root_in, root_out, False)
+    try:
+        root_rec = cmd(program.body, root_in, root_out, False)
+    finally:
+        # The two closures reach each other through their cells; emptying
+        # the cells frees them without waiting for the cycle collector.
+        del expr, cmd
 
     if outer_zero:
-        b.pin(root_out, 0)
+        high.append((root_out, 0))  # pinned to 0
     else:
-        b.pin_positive(root_out)
+        low.append((root_out, 1))  # at least 1
     if gamma:
         for name, tier in gamma.items():
-            b.pin(var_records[name], tier)
+            graph.pin(var_records[name], tier)
     if triple is not None:
         t, inner, outer = triple
-        b.pin_at_most(root_rec, t)
-        b.pin(root_in, inner)
-        b.pin(root_out, outer)
+        high.append((root_rec, t))
+        graph.pin(root_in, inner)
+        graph.pin(root_out, outer)
     return _Records(var_records, nodes, root_in, root_out)
 
 
@@ -632,13 +663,14 @@ def _first_mode(
     gamma: dict[str, int] | None = None,
 ) -> TierSolution | None:
     """Least tiers in the first mode that types the program, trying the
-    sealed outer channel first."""
+    sealed outer channel first.  The cap the first mode settles on, the
+    default one included, is the cap of the second."""
     for outer_zero in (True, False):
-        solution = least_tiers(
-            program, t_max=t_max, registry=registry, gamma=gamma, outer_zero=outer_zero
-        )
-        if solution is not None:
-            return solution
+        graph, records, _ = _constraints(program, t_max, registry, gamma, None, outer_zero)
+        tiers = graph.solve()
+        if tiers is not None:
+            return _solution(tiers, records, graph)
+        t_max = graph.cap
     return None
 
 
@@ -648,8 +680,15 @@ def typable(
     t_max: int | None = None,
     registry: Registry | None = None,
 ) -> bool:
-    """Whether `infer` finds a typing, without building a derivation."""
-    return _first_mode(program, t_max=t_max, registry=registry) is not None
+    """Whether `infer` finds a typing, without building a derivation: the
+    graph of each mode is solved in turn, as `_first_mode` does, and no
+    solution is assembled."""
+    for outer_zero in (True, False):
+        graph, _, _ = _constraints(program, t_max, registry, None, None, outer_zero)
+        if graph.solve() is not None:
+            return True
+        t_max = graph.cap
+    return False
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,29 @@ literals are sugar for unary words (``3`` means ``111``) and string
 literals are raw words (``"101"``).  Both parse to nullary operator
 applications so that the AST has exactly three expression forms.
 
-The lexer is one regular expression walked with `finditer`.  Tokens are
-`(kind, text, offset)` tuples; a `ParseError` turns the offset into a line
-and column only when it is raised.  A `;` chain of any length is read with
-a loop, so only nesting costs recursion.
+The lexer is one regular expression: one `findall` call gives the text of
+every token, and the parser works on those strings.  It takes only
+well-formed tokens, and finds a token's offset again, with `finditer`,
+only to raise an error at it.  A parse that fails first looks for a
+malformed token anywhere in the source and reports that one instead, as a
+lexer run to the end before parsing would.  A `;` chain of any length is
+read with a loop, so only nesting costs recursion.
 
 `_PARTS` is the one statement of the tree's shape.  For each node class it
 gives the node's JSON tag, its parts (its sub-expressions and
 subcommands) in source order, their names as the JSON export and the
-DIMACS legend spell them, and the fields that are not parts.  `children`,
-`part_names` and the JSON export `node_to_json` read it, and so do the
-derivation check and the audit in `tiers`.
+DIMACS legend spell them, and the fields that are not parts.
+`part_names`, every walk below and the JSON export `node_to_json` read it,
+and so do the derivation check and the audit in `tiers`.
 
 `preorder` is the one walk of a tree: an explicit stack that yields each
 node before its parts, in source order.  `program_size`, `assigned_vars`,
 `has_oracle_call`, `Program.oracle_name` and `hash` are written on it.
-`variables_of` keeps a loop of its own: typing calls it on every program,
-and a version on `preorder` made `typable` slower.  `==` walks two trees
-in step.  All of these, and the JSON export, take programs of any length
-and depth; `pretty_cmd` prints a `;` chain with a loop.  What still
+`variables_of` keeps a stack loop of its own, with no generator: typing
+calls it on every program.  (Typing reads the program size off its node
+table instead of calling `program_size`.)  `==` walks two trees in step.
+All of these, and the JSON export, take programs of any length and depth;
+`pretty_cmd` prints a `;` chain with a loop.  What still
 recurses: the parser and the printer on `if`/`while` nesting and on
 expressions, the dataclass `repr`, and `json` itself on the exported
 dicts, which it refuses past about 990 levels.  Outside this module,
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -207,18 +212,8 @@ _PARTS: dict[type, _Shape] = {
 }
 
 
-def children(node: object) -> tuple:
-    """The sub-expressions and subcommands of a node, in source order.
-
-    A program's only child is its body; variables, skip and any object that
-    is not a node have none.
-    """
-    shape = _PARTS.get(type(node))
-    return shape.parts(node) if shape else ()
-
-
 def part_names(node: object) -> tuple[str, ...]:
-    """The names of a node's parts, in the order `children` lists them."""
+    """The names of a node's parts, in the order `_PARTS` lists them."""
     names = _PARTS[type(node)].names
     return tuple(map(str, range(len(node.args)))) if names is None else names
 
@@ -291,12 +286,15 @@ def variables_of(node: Program | Cmd | Expr) -> tuple[str, ...]:
     stack: list = [node]
     while stack:
         part = stack.pop()
-        if isinstance(part, Var):
-            seen.setdefault(part.name)
+        cls = type(part)
+        if cls is Var:
+            seen[part.name] = None  # a name seen before keeps its place
             continue
-        if isinstance(part, Assign):
-            seen.setdefault(part.target)
-        stack.extend(reversed(children(part)))
+        if cls is Assign:
+            seen[part.target] = None
+        shape = _PARTS.get(cls)  # what is not a node has no parts
+        if shape:
+            stack.extend(reversed(shape.parts(part)))
     if isinstance(node, Program):
         seen.setdefault(node.return_var)
     return tuple(seen)
@@ -324,20 +322,21 @@ _SYMBOLS = {
     "|": "BAR",
 }
 
-# One match per token: blanks and comments, then one group, whose name is
-# the token's kind.  OTHER takes any single character, so `finditer` walks
-# the whole source.  \d is a Unicode decimal digit, as int() accepts; \w
-# also admits non-letters such as "²" as a name's first character, which
-# the lexer rejects.
+# How an error names the token it expected: a symbol by its kind, the end
+# as EOF, a keyword as itself.
+_EXPECTED = {**_SYMBOLS, "": "EOF"}
+
+# One match per token: blanks and comments, then the token's text as the
+# one group.  A word literal keeps its quotes, and the end of the source
+# is the empty token.  The last alternative takes any single character, so
+# the scan covers the whole source.  \d is a Unicode decimal digit, as
+# int() accepts; \w also admits non-letters such as "²" as a name's first
+# character, which makes a malformed token.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]|#[^\n]*)*"
-    r'(?:(?P<SYMBOL>:=|[;(){},|])|(?P<STRING>"[^"\n]*")|(?P<INT>\d+)'
-    r"|(?P<NAME>\w+)|(?P<EOF>\Z)|(?P<OTHER>.))",
+    r'(:=|[;(){},|]|"[^"\n]*"|\d+|\w+|\Z|.)',
     re.DOTALL,
 )
-
-# A token is (kind, text, offset of its first character in the source).
-Token = tuple[str, str, int]
 
 
 def _error(source: str, message: str, offset: int) -> ParseError:
@@ -346,72 +345,99 @@ def _error(source: str, message: str, offset: int) -> ParseError:
     return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
-def _tokenize(source: str) -> list[Token]:
-    toks: list[Token] = []
+def _is_name(text: str) -> bool:
+    """Is the token a name that is not a keyword?"""
+    first = text[:1]
+    return (first.isalpha() or first == "_") and text not in KEYWORDS
+
+
+def _shown(text: str) -> str:
+    """A token as errors quote it: a word literal without its quotes."""
+    return text[1:-1] if text[:1] == '"' else text
+
+
+def _malformed(source: str) -> ParseError | None:
+    """The error for the first malformed token of the source, if any: a
+    character no token starts with, or a word literal that is unterminated
+    or holds symbols other than 0 and 1."""
     for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        text = m[kind]
-        offset = m.start(kind)
-        if kind == "SYMBOL":
-            kind = _SYMBOLS[text]
-        elif kind == "NAME":
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise _error(source, f"unexpected character {text[0]!r}", offset)
-            kind = "KEYWORD" if text in KEYWORDS else "IDENT"
-        elif kind == "STRING":
-            text = text[1:-1]
-            if text.strip("01"):
-                raise _error(source, f'word literal "{text}" has symbols outside 0/1',
-                             offset)
-        elif kind == "OTHER":
-            raise _error(source, "unterminated word literal" if text == '"'
-                         else f"unexpected character {text!r}", offset)
-        toks.append((kind, text, offset))
-        if kind == "EOF":
-            break
-    return toks
+        text = m[1]
+        first = text[:1]
+        if not text:  # the end
+            return None
+        if first == '"':
+            if len(text) == 1:
+                message = "unterminated word literal"
+            elif text[1:-1].strip("01"):
+                message = f'word literal "{text[1:-1]}" has symbols outside 0/1'
+            else:
+                continue
+        elif first.isalpha() or first == "_" or first.isdecimal() or text in _SYMBOLS:
+            continue
+        else:
+            message = f"unexpected character {first!r}"
+        return _error(source, message, m.start(1))
+    return None
 
 
 # --- Parser --------------------------------------------------------------
 
 
 class _Parser:
+    """Recursive descent over the token texts.
+
+    The texts are kept in reverse, so the next token is the list's last
+    item: ``toks[-1]`` looks at it and ``toks.pop()`` takes it.  A token's
+    place, for an error, is the number of tokens left when it was next;
+    its source offset is found again only when an error is raised.  Every
+    branch takes only well-formed tokens, so a parse that succeeds has
+    read no malformed one.
+    """
+
     def __init__(self, source: str, registry):
         self.source = source
-        self.toks = _tokenize(source)
-        self.pos = 0
+        toks = _TOKEN_RE.findall(source)
+        if len(toks) > 1 and toks[-2] == "":
+            toks.pop()  # blanks at the end leave a second empty match
+        toks.reverse()
+        self.toks = toks
+        self.count = len(toks)
         self.registry = registry
+        self.arities: dict[str, int] = {}  # each operator is looked up once
         self.oracle_name: str | None = None
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def expect(self, text: str) -> None:
+        """Take the next token, which must be `text`."""
+        toks = self.toks
+        if toks[-1] != text:
+            want = _EXPECTED.get(text, text)
+            raise self.error(f"expected {want!r}, found {_shown(toks[-1])!r}")
+        toks.pop()
 
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        t = self.toks[self.pos]
-        if t[0] != kind or (value is not None and t[1] != value):
-            want = value if value is not None else kind
-            raise self.error(f"expected {want!r}, found {t[1]!r}", t)
-        self.pos += 1
-        return t
-
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        """Error at a token, by default the next one."""
-        if tok is None:
-            tok = self.toks[self.pos]
-        return _error(self.source, message, tok[2])
+    def error(self, message: str, left: int | None = None) -> ParseError:
+        """Error at a token, by default the next one; `left` is the number
+        of tokens that were left when it was next."""
+        if left is None:
+            left = len(self.toks)
+        match = next(islice(_TOKEN_RE.finditer(self.source), self.count - left, None))
+        return _error(self.source, message, match.start(1))
 
     def parse_program(self) -> Program:
         body = self.parse_cmd()
-        self.expect("KEYWORD", "return")
-        ret = self.expect("IDENT")
-        self.expect("EOF")
-        return Program(body, ret[1])
+        self.expect("return")
+        ret = self.toks[-1]
+        if not _is_name(ret):
+            raise self.error(f"expected 'IDENT', found {_shown(ret)!r}")
+        self.toks.pop()
+        self.expect("")
+        return Program(body, ret)
 
     def parse_cmd(self) -> Cmd:
         """A `;` chain, read with a loop and folded into right-nested Seqs."""
+        toks = self.toks
         cmds = [self.parse_simple_cmd()]
-        while self.peek()[0] == "SEMI":
-            self.pos += 1
+        while toks[-1] == ";":
+            toks.pop()
             cmds.append(self.parse_simple_cmd())
         body = cmds.pop()
         while cmds:
@@ -419,101 +445,112 @@ class _Parser:
         return body
 
     def parse_simple_cmd(self) -> Cmd:
-        kind, text, _ = self.peek()
-        if kind == "KEYWORD" and text == "skip":
-            self.pos += 1
-            return Skip()
-        if kind == "KEYWORD" and text == "if":
-            self.pos += 1
-            self.expect("LPAREN")
-            guard = self.parse_expr()
-            self.expect("RPAREN")
-            self.expect("LBRACE")
-            then = self.parse_cmd()
-            self.expect("RBRACE")
-            self.expect("KEYWORD", "else")
-            self.expect("LBRACE")
-            orelse = self.parse_cmd()
-            self.expect("RBRACE")
-            return If(guard, then, orelse)
-        if kind == "KEYWORD" and text == "while":
-            self.pos += 1
-            self.expect("LPAREN")
-            guard = self.parse_expr()
-            self.expect("RPAREN")
-            self.expect("LBRACE")
-            body = self.parse_cmd()
-            self.expect("RBRACE")
-            return While(guard, body)
-        if kind == "IDENT":
-            self.pos += 1
-            self.expect("ASSIGN")
+        toks = self.toks
+        text = toks[-1]
+        if _is_name(text):
+            toks.pop()
+            self.expect(":=")
             return Assign(text, self.parse_expr())
-        raise self.error(f"expected a command, found {text!r}")
+        if text == "skip":
+            toks.pop()
+            return Skip()
+        if text == "if":
+            toks.pop()
+            self.expect("(")
+            guard = self.parse_expr()
+            self.expect(")")
+            self.expect("{")
+            then = self.parse_cmd()
+            self.expect("}")
+            self.expect("else")
+            self.expect("{")
+            orelse = self.parse_cmd()
+            self.expect("}")
+            return If(guard, then, orelse)
+        if text == "while":
+            toks.pop()
+            self.expect("(")
+            guard = self.parse_expr()
+            self.expect(")")
+            self.expect("{")
+            body = self.parse_cmd()
+            self.expect("}")
+            return While(guard, body)
+        raise self.error(f"expected a command, found {_shown(text)!r}")
 
     def parse_expr(self) -> Expr:
-        name_tok = self.peek()
-        kind, text, _ = name_tok
-        if kind == "INT":
-            self.pos += 1
+        toks = self.toks
+        left = len(toks)
+        text = toks[-1]
+        if _is_name(text):
+            toks.pop()
+            if toks[-1] != "(":
+                return Var(text)
+            toks.pop()
+            if toks[-1] == ")":
+                toks.pop()
+                return self._op_app(text, left, ())
+            arg = self.parse_expr()
+            if toks[-1] == "|":
+                toks.pop()
+                bound = self.parse_expr()
+                self.expect(")")
+                return self._oracle_call(text, left, arg, bound)
+            args = [arg]
+            while toks[-1] == ",":
+                toks.pop()
+                args.append(self.parse_expr())
+            self.expect(")")
+            return self._op_app(text, left, tuple(args))
+        if text[:1].isdecimal():
+            toks.pop()
             try:
                 return OpApp(literal_op_name(unary_word(text)))
             except ValueError as exc:
-                raise self.error(str(exc), name_tok) from None
-        if kind == "STRING":
-            self.pos += 1
-            return OpApp(literal_op_name(text))
-        if kind == "IDENT":
-            self.pos += 1
-            if self.peek()[0] != "LPAREN":
-                return Var(text)
-            self.pos += 1
-            if self.peek()[0] == "RPAREN":
-                self.pos += 1
-                return self._op_app(name_tok, ())
-            first = self.parse_expr()
-            if self.peek()[0] == "BAR":
-                self.pos += 1
-                bound = self.parse_expr()
-                self.expect("RPAREN")
-                return self._oracle_call(name_tok, first, bound)
-            args = [first]
-            while self.peek()[0] == "COMMA":
-                self.pos += 1
-                args.append(self.parse_expr())
-            self.expect("RPAREN")
-            return self._op_app(name_tok, tuple(args))
-        raise self.error(f"expected an expression, found {text!r}")
+                raise self.error(str(exc), left) from None
+        if text[:1] == '"' and len(text) > 1 and not text[1:-1].strip("01"):
+            toks.pop()
+            return OpApp(literal_op_name(text[1:-1]))
+        raise self.error(f"expected an expression, found {_shown(text)!r}")
 
-    def _op_app(self, name_tok: Token, args: tuple[Expr, ...]) -> OpApp:
-        name = name_tok[1]
-        if name not in self.registry:
-            raise self.error(f"unknown operator {name!r}", name_tok)
-        spec = self.registry.lookup(name)
-        if spec.arity != len(args):
+    def _op_app(self, name: str, left: int, args: tuple[Expr, ...]) -> OpApp:
+        arity = self.arities.get(name)
+        if arity is None:
+            if name not in self.registry:
+                raise self.error(f"unknown operator {name!r}", left)
+            arity = self.arities[name] = self.registry.lookup(name).arity
+        if arity != len(args):
             raise self.error(
-                f"operator {name!r} expects {spec.arity} argument(s), got {len(args)}",
-                name_tok)
+                f"operator {name!r} expects {arity} argument(s), got {len(args)}", left)
         return OpApp(name, args)
 
-    def _oracle_call(self, name_tok: Token, data: Expr, bound: Expr) -> OracleCall:
-        name = name_tok[1]
+    def _oracle_call(self, name: str, left: int, data: Expr, bound: Expr) -> OracleCall:
         if self.oracle_name is None:
             self.oracle_name = name
         elif self.oracle_name != name:
             raise self.error(
                 f"second oracle symbol {name!r}; the program already queries "
-                f"{self.oracle_name!r}", name_tok)
+                f"{self.oracle_name!r}", left)
         return OracleCall(data, bound, name)
 
 
 def parse(source: str, registry=None) -> Program:
-    """Parse a program, checking operator arities against the registry."""
+    """Parse a program, checking operator arities against the registry.
+
+    A malformed token anywhere in the source is the error reported, ahead
+    of any error the parser met before reaching it, as if the whole source
+    were scanned before parsing began."""
     if registry is None:
         from .operators import DEFAULT_REGISTRY
 
         registry = DEFAULT_REGISTRY
-    return _Parser(source, registry).parse_program()
+    try:
+        return _Parser(source, registry).parse_program()
+    except (ParseError, RecursionError):
+        malformed = _malformed(source)
+        if malformed is None:
+            raise
+    raise malformed
 
 
 # --- Pretty printer ------------------------------------------------------

@@ -7,9 +7,16 @@ constraints from `inference` and, when they have a least solution, folds the
 solution's node table into an explicit derivation tree whose every node
 names the rule applied: each row's triple is the solved tiers of its three
 records, and lift steps raise command premises to the tier of their rule.
-All rule choices are made once, by the constraint generator.  The
-derivation is then re-validated independently of the solver, by structural
-checks common to all rules and each rule's tier side conditions.
+All rule choices are made once, by the constraint generator.  The fold
+keeps the built nodes on a stack, lifts a premise only where its tier is
+below its rule's, and lets the nodes with equal triples share one
+`TypedTriple`.  `Derivation` is a slotted frozen dataclass, and the
+builders fill a new node's slots through their setters rather than
+through the frozen `__init__`, which goes by `object.__setattr__`.  The
+derivation is then re-validated independently of the solver, by
+structural checks common to all rules and each rule's tier side
+conditions, in a preorder walk over an explicit stack that reads each
+subject's parts from `syntax._PARTS`.
 
 `audit_derivation` checks the six safety facts a valid derivation is
 supposed to guarantee: expressions never read below their own tier, commands
@@ -27,7 +34,8 @@ hash without recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .operators import DEFAULT_REGISTRY, OperatorSpec, Positive, Registry
@@ -43,8 +51,8 @@ from .syntax import (
     Var,
     While,
     _same_tree,
+    _PARTS,
     assigned_vars,
-    children,
     label,
     variables_of,
 )
@@ -86,7 +94,7 @@ EXPR_RULES = frozenset(_SUBJECT_CLASS) - COMMAND_RULES
 _LOOP_RULES = frozenset({RULE_WHILE, RULE_WHILE_ZERO})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Derivation:
     """One rule application; children are the premise derivations in order.
     `==` and `hash` walk the tree with a stack, so any depth compares."""
@@ -129,6 +137,29 @@ class Derivation:
         }
 
 
+def _derivation_maker():
+    """A constructor of derivation nodes for the builders.  It fills the
+    slots through their own setters: the frozen class's `__init__` goes
+    through `object.__setattr__`, which takes twice as long."""
+    new = object.__new__
+    set_rule, set_subject, set_triple, set_children = (
+        Derivation.__dict__[f.name].__set__ for f in fields(Derivation))
+
+    def make(rule: str, subject: object, triple: TypedTriple,
+             children: tuple) -> Derivation:
+        d = new(Derivation)
+        set_rule(d, rule)
+        set_subject(d, subject)
+        set_triple(d, triple)
+        set_children(d, children)
+        return d
+
+    return make
+
+
+_make_derivation = _derivation_maker()
+
+
 def admissible_op_type(
     spec: OperatorSpec, arg_tiers: tuple[int, ...], ret_tier: int, inner: int
 ) -> bool:
@@ -136,10 +167,9 @@ def admissible_op_type(
     inner channel?"""
     if len(arg_tiers) != spec.arity:
         return False
-    if any(t > inner for t in arg_tiers):
-        return False
-    if any(ret_tier > t for t in arg_tiers):
-        return False
+    for t in arg_tiers:
+        if t > inner or ret_tier > t:
+            return False
     if spec.arity == 0 and ret_tier > inner:
         return False
     if isinstance(spec.classification, Positive) and ret_tier >= inner:
@@ -199,13 +229,12 @@ def derive(
 
 def _lift(d: Derivation, tier: int) -> Derivation:
     """Raise a command judgement to `tier` by lift steps."""
-    while d.triple.tier < tier:
-        raised = d.triple._replace(tier=d.triple.tier + 1)
-        d = Derivation(RULE_LIFT, d.subject, raised, (d,))
-    if d.triple.tier != tier:
-        raise AssertionError(
-            f"cannot lower {d.triple.tier} to {tier} at {label(d.subject)}"
-        )
+    t, inner, outer = d.triple
+    while t < tier:
+        t += 1
+        d = _make_derivation(RULE_LIFT, d.subject, TypedTriple(t, inner, outer), (d,))
+    if t != tier:
+        raise AssertionError(f"cannot lower {t} to {tier} at {label(d.subject)}")
     return d
 
 
@@ -219,17 +248,24 @@ def build_derivation(solution: TierSolution, triple: TypedTriple) -> Derivation:
     """
     tiers = solution.tiers
     stack: list[Derivation] = []
+    push, make = stack.append, _make_derivation
+    triples: dict[tuple, TypedTriple] = {}  # nodes with equal triples share one
     for rule, subject, rec, in_rec, out_rec, premises in solution.nodes:
         tier = tiers[rec]
         kids = ()
         if premises:
-            kids = tuple(
-                _lift(d, tier) if d.rule in COMMAND_RULES else d
-                for d in stack[-premises:]
-            )
+            kids = stack[-premises:]
             del stack[-premises:]
-        triple_here = TypedTriple(tier, tiers[in_rec], tiers[out_rec])
-        stack.append(Derivation(rule, subject, triple_here, kids))
+            if rule in COMMAND_RULES:  # only commands have command premises
+                for i, d in enumerate(kids):
+                    if d.triple[0] != tier and d.rule in COMMAND_RULES:
+                        kids[i] = _lift(d, tier)
+            kids = tuple(kids)
+        key = (tier, tiers[in_rec], tiers[out_rec])
+        triple_here = triples.get(key)
+        if triple_here is None:
+            triple_here = triples[key] = TypedTriple._make(key)
+        push(make(rule, subject, triple_here, kids))
     (root,) = stack
     return _lift(root, triple.tier)
 
@@ -237,6 +273,9 @@ def build_derivation(solution: TierSolution, triple: TypedTriple) -> Derivation:
 class DerivationError(AssertionError):
     """A derivation node violates its rule's side conditions."""
 
+
+# The tier of a derivation's conclusion.
+_TIER_OF = attrgetter("triple.tier")
 
 # Rules whose premises carry the conclusion's two channels.
 _SAME_CHANNELS = frozenset({RULE_OP, RULE_ORACLE, RULE_ASSIGN})
@@ -251,45 +290,72 @@ def verify_derivation(
     node is malformed.  Independent of the solver: only the tree, the
     environment and the operator table are consulted.  Every node passes
     the same structural checks: the rule types the subject's class, the
-    premises judge the subject's parts as `syntax.children` lists them, by
+    premises judge the subject's parts as `syntax._PARTS` lists them, by
     identity and in order (a lift step's premise judges the subject), and
     operator, oracle and assignment premises carry the conclusion's
     channels.  What is left per rule is the paper's tier side conditions."""
     if registry is None:
         registry = DEFAULT_REGISTRY
+    specs: dict[str, OperatorSpec] = {}  # each operator is looked up once
 
     def fail(d: Derivation, why: str) -> None:
         raise DerivationError(
             f"{d.rule} node for {label(d.subject)} at {d.triple}: {why}")
 
-    for d in derivation.walk():
-        rule, subject, kids = d.rule, d.subject, d.children
-        t, inner, outer = d.triple
-        if min(d.triple) < 0:
+    # Preorder with an explicit stack, as `Derivation.walk` visits.
+    stack = [derivation]
+    pop = stack.pop
+    subject_class, shape_of = _SUBJECT_CLASS.get, _PARTS.get
+    while stack:
+        d = pop()
+        rule = d.rule
+        subject = d.subject
+        kids = d.children
+        triple = d.triple
+        t, inner, outer = triple
+        if t < 0 or inner < 0 or outer < 0:
             fail(d, "negative tier")
-        cls = _SUBJECT_CLASS.get(rule)
+        cls = subject_class(rule)
         if cls is None:
             fail(d, f"unknown rule {rule!r}")
         if not isinstance(subject, cls):
             fail(d, f"the rule types {cls.__name__} subjects")
-        parts = (subject,) if rule == RULE_LIFT else children(subject)
+        if rule == RULE_LIFT:
+            parts = (subject,)
+        else:
+            shape = shape_of(type(subject))
+            parts = shape.parts(subject) if shape else ()
         if len(kids) != len(parts):
             fail(d, "premises do not judge the subject's parts")
+        if rule == RULE_VAR:  # a leaf: no premises to push or compare
+            if gamma.get(subject.name) != t:
+                fail(d, f"environment gives {gamma.get(subject.name)}")
+            continue
+        stack += kids[::-1]
         for kid, part in zip(kids, parts):
             if kid.subject is not part:
                 fail(d, "premises do not judge the subject's parts")
         if rule in _SAME_CHANNELS:
             for kid in kids:
-                if (kid.triple.inner, kid.triple.outer) != (inner, outer):
+                _, kid_inner, kid_outer = kid.triple
+                if kid_inner != inner or kid_outer != outer:
                     fail(d, "premise channels differ")
-        if rule == RULE_VAR:
-            if gamma.get(subject.name) != t:
-                fail(d, f"environment gives {gamma.get(subject.name)}")
-        elif rule == RULE_OP:
-            spec = registry.lookup(subject.op)
-            arg_tiers = tuple(kid.triple.tier for kid in kids)
+        if rule == RULE_OP:
+            spec = specs.get(subject.op)
+            if spec is None:
+                spec = specs[subject.op] = registry.lookup(subject.op)
+            arg_tiers = tuple(map(_TIER_OF, kids))
             if not admissible_op_type(spec, arg_tiers, t, inner):
                 fail(d, f"type {arg_tiers} -> {t} not admissible at inner {inner}")
+        elif rule == RULE_ASSIGN:
+            if gamma.get(subject.target) != t:
+                fail(d, "tier differs from assigned variable's")
+            if t > kids[0].triple.tier:
+                fail(d, "assigned variable outranks the value")
+        elif rule == RULE_SEQ or rule == RULE_IF:
+            for kid in kids:
+                if kid.triple != triple:
+                    fail(d, "premises must carry the conclusion triple")
         elif rule == RULE_ORACLE:
             data, bound = kids
             if data.triple.tier != t:
@@ -301,14 +367,6 @@ def verify_derivation(
         elif rule == RULE_SKIP:
             if t != 0:
                 fail(d, "skip introduces tier 0")
-        elif rule == RULE_ASSIGN:
-            if gamma.get(subject.target) != t:
-                fail(d, "tier differs from assigned variable's")
-            if t > kids[0].triple.tier:
-                fail(d, "assigned variable outranks the value")
-        elif rule in (RULE_SEQ, RULE_IF):
-            if any(kid.triple != d.triple for kid in kids):
-                fail(d, "premises must carry the conclusion triple")
         elif rule in _LOOP_RULES:
             guard, body = kids
             if t < 1:
@@ -366,17 +424,21 @@ def _access_tiers(
     while stack:
         node = stack.pop()
         if id(node) not in memo:
-            order.append(node)
-            stack.extend(children(node))
-    for node in reversed(order):
-        if isinstance(node, Var):
-            read, write = gamma.get(node.name, 0), -math.inf
-        elif isinstance(node, Assign):
+            shape = _PARTS.get(type(node))
+            parts = shape.parts(node) if shape else ()
+            order.append((node, parts))
+            stack.extend(parts)
+    inf = math.inf
+    for node, parts in reversed(order):
+        cls = type(node)
+        if cls is Var:
+            read, write = gamma.get(node.name, 0), -inf
+        elif cls is Assign:
             write = gamma.get(node.target, 0)
             read = min(write, memo[id(node.value)][0])
         else:
-            read, write = math.inf, -math.inf
-            for part in children(node):
+            read, write = inf, -inf
+            for part in parts:
                 part_read, part_write = memo[id(part)]
                 if part_read < read:
                     read = part_read
@@ -426,10 +488,12 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
     # Each frame holds the aggregate over all enclosing nodes and over those
     # outside the node's run of ancestors with the same subject.
     stack = [(derivation, _NO_LOOPS, _NO_LOOPS)]
+    pop, push = stack.pop, stack.append
     while stack:
-        d, above, outside = stack.pop()
-        rule, subject = d.rule, d.subject
+        d, above, outside = pop()
+        rule, subject, kids = d.rule, d.subject, d.children
         tier, inner, outer = d.triple
+        command = rule in COMMAND_RULES
         if rule in EXPR_RULES:
             access = memo.get(id(subject)) or _access_tiers(subject, gamma, memo)
             if access[0] < tier:
@@ -440,7 +504,7 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
                             d,
                             f"reads {name} at tier {gamma.get(name)} from tier {tier}",
                         )
-        elif rule in COMMAND_RULES:
+        elif command:
             if isinstance(subject, Cmd):
                 access = memo.get(id(subject)) or _access_tiers(subject, gamma, memo)
                 if access[1] > tier:
@@ -453,10 +517,10 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
                                 f"assigns {name} at tier {gamma.get(name)} from"
                                 f" tier {tier}",
                             )
-                for kid in d.children:
-                    if kid.rule in COMMAND_RULES and kid.triple.tier > tier:
-                        flag("shrink", d, f"subcommand tier {kid.triple.tier} above"
-                             f" {tier}")
+                for kid in kids:
+                    kid_tier = kid.triple[0]
+                    if kid_tier > tier and kid.rule in COMMAND_RULES:
+                        flag("shrink", d, f"subcommand tier {kid_tier} above {tier}")
             cap, floor, _, chain = outside
             if inner > cap or outer < floor:
                 while chain is not None:
@@ -473,10 +537,10 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
             if rule == RULE_WHILE_ZERO:
                 for _ in range(above[2]):
                     flag("seal-placement", d, "sealing rule inside a loop")
-        if not d.children:
+        if not kids:
             continue
         here = above
-        caps = rule in COMMAND_RULES and isinstance(subject, While)
+        caps = command and isinstance(subject, While)
         loops = rule in _LOOP_RULES
         if caps or loops:
             cap, floor, seals, chain = above
@@ -486,7 +550,7 @@ def audit_derivation(derivation: Derivation, gamma: dict[str, int]) -> AuditRepo
                 seals + loops,
                 (d, chain),
             )
-        for kid in reversed(d.children):
-            stack.append((kid, here, outside if kid.subject is subject else here))
+        for kid in reversed(kids):
+            push((kid, here, outside if kid.subject is subject else here))
 
     return AuditReport(ok=not violations, violations=tuple(violations))

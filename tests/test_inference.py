@@ -290,6 +290,22 @@ def test_least_tiers_matches_clause_pipeline(p, data):
         assert least_tiers(p, **knobs) == clause_pipeline(p, **knobs)
 
 
+@given(programs(allow_oracle=True), st.data())
+@settings(max_examples=120)
+def test_default_cap_is_the_program_size(p, data):
+    # The cap is read off the node table; it must be the size the syntax
+    # module counts, in both modes, through the second mode of `infer`, and
+    # raised only by pins above it.
+    size = program_size(p)
+    for outer_zero in (True, False):
+        assert encode(p, outer_zero=outer_zero).t_max == size
+    result = infer(p)
+    assert result is None or result.t_max == size
+    gamma = data.draw(st.dictionaries(st.sampled_from(variables_of(p)),
+                                      st.integers(0, size + 2)), label="gamma")
+    assert encode(p, gamma=gamma).t_max == max(size, *gamma.values(), 0)
+
+
 def test_reported_sizes_match_the_threshold_instance(corpus):
     for entry in corpus.values():
         p = entry.program()

@@ -12,7 +12,7 @@ nesting limit.  Each program's last statement holds its one oracle call,
 so a walk that looks for a call visits every node.  The chains type and
 the nests do not, so the solver runs to a typing on one and to a failure,
 in both modes, on the other; a nest of countdown loops without the call
-types, and its derivation is audited.
+types, and its derivation is built, verified and audited.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 import pytest
 
-from tierlang.inference import infer, least_tiers
+from tierlang.inference import _constraints, infer, least_tiers
 from tierlang.syntax import (
     assigned_vars,
     has_oracle_call,
@@ -31,7 +31,7 @@ from tierlang.syntax import (
     program_to_json,
     variables_of,
 )
-from tierlang.tiers import audit_derivation
+from tierlang.tiers import audit_derivation, derive, verify_derivation
 
 from .work_counter import trace_events
 
@@ -98,10 +98,17 @@ def inferred(source: str):
     return result.derivation, result.gamma
 
 
+def solved(source: str):
+    return least_tiers(parse(source))
+
+
 # What each solver stage takes, made from a family's source text.
 PIPELINE = {
     "parse": (parse, str),
+    "_constraints": (lambda p: _constraints(p, None, None, None, None, None), parse),
     "least_tiers": (both_modes, parse),
+    "derive": (lambda solution: derive(solution, solution.triple), solved),
+    "verify_derivation": (lambda pair: verify_derivation(*pair), inferred),
     "infer": (infer, parse),
     "audit_derivation": (lambda pair: audit_derivation(*pair), inferred),
     "pretty": (pretty, parse),
@@ -112,8 +119,9 @@ PIPELINE = {
     pytest.param(name, family, sizes, id=f"{name}-{family.__name__}")
     for names, family, sizes in [
         (PIPELINE, chain, CHAINS),
-        (("parse", "least_tiers", "pretty"), nest, NESTS),
-        (("infer", "audit_derivation"), typable_nest, NESTS),
+        (("parse", "_constraints", "least_tiers", "pretty"), nest, NESTS),
+        (("derive", "verify_derivation", "infer", "audit_derivation"), typable_nest,
+         NESTS),
     ] for name in names
 ])
 def test_solver_stages_do_linear_work(name, family, sizes):

@@ -279,10 +279,7 @@ def test_every_node_class_lists_its_parts():
 def test_part_names_are_the_json_exports_keys():
     p = parse("if (eq(x, phi(x | y))) { x := pred(x); skip } "
               "else { while (gt0(x)) { skip } } return x")
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        stack.extend(syntax.children(node))
+    for node in syntax.preorder(p):
         if isinstance(node, OpApp):
             assert part_names(node) == tuple(map(str, range(len(node.args))))
             continue

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from tierlang.bruteforce import typing_table
-from tierlang.inference import infer
+from tierlang.inference import infer, typable
 from tierlang.operators import Positive, builtin_registry
 from tierlang.semantics import OracleRequired, run_program
 from tierlang.syntax import (
@@ -166,6 +167,27 @@ def test_audits_pass_on_corpus_trees(corpus):
         assert d is not None, entry.name
         report = audit_derivation(d, entry.gamma)
         assert report.ok, (entry.name, report.violations)
+
+
+def test_the_typing_path_leaves_no_reference_cycles(corpus):
+    # Garbage in cycles waits for the collector; everything the typing path
+    # drops must be freed as soon as it is dropped.
+    sources = [entry.source() for entry in corpus.values()]
+    gc.collect()
+    gc.disable()
+    try:
+        for source in sources:
+            p = parse(source)
+            typable(p)
+            result = infer(p)
+            if result is None:
+                continue
+            assert check(p, result.gamma, result.triple) is not None
+            assert check_any(p, result.gamma) is not None
+            audit_derivation(result.derivation, result.gamma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_audit_flags_read_below_write():
@@ -376,6 +398,20 @@ def test_deep_derivations_compare_and_hash_without_recursion():
     assert Derivation("var", Var("x"), one) == Derivation("var", Var("x"), one)
     assert Derivation("var", Var("x"), one) != Derivation("var", Var("y"), one)
     assert Derivation("skip", Skip(), one) != Derivation("skip", Skip(), one, (a,))
+
+
+def test_built_derivation_nodes_are_ordinary_frozen_nodes():
+    # The builders fill slots directly; what they make must be the node the
+    # constructor makes, frozen, with every field set.
+    d = infer(ADD).derivation
+    for node in d.walk():
+        twin = Derivation(node.rule, node.subject, node.triple, node.children)
+        assert dataclasses.astuple(node) == dataclasses.astuple(twin)
+        assert repr(node) == repr(twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.rule = "skip"
+    assert dataclasses.replace(d, rule="lift") == Derivation(
+        "lift", d.subject, d.triple, d.children)
 
 
 def test_derivations_of_separately_parsed_chains_compare_in_linear_time():
