@@ -68,7 +68,6 @@ from .tiers import (
     TypedTriple,
     audit_derivation,
     check,
-    check_any,
     verify_derivation,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "audit_derivation",
     "builtin_registry",
     "check",
-    "check_any",
     "count_lookahead_revisions",
     "encode",
     "infer",

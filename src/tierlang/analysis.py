@@ -29,6 +29,9 @@ from .syntax import Program, has_oracle_call, variables_of
 
 DEFAULT_SWEEP_FUEL = 200_000_000
 
+# The longest word a non-interference trial draws for an initial store.
+NI_MAX_WORD_LEN = 12
+
 
 def count_lookahead_revisions(trace: ExecutionTrace) -> int:
     """Queries strictly longer than every earlier query; the first query
@@ -195,16 +198,16 @@ def noninterference_test(
     trials: int = 1000,
     seed: int = 0,
     *,
-    max_word_len: int = 12,
     registry: Registry | None = None,
     fuel: int = DEFAULT_SWEEP_FUEL,
 ) -> NIReport:
     """Randomized check that tiers below `level` cannot leak upward.
 
     Each trial draws one oracle and two initial stores that agree on every
-    variable of tier >= level and differ arbitrarily below, runs both, and
-    compares the final values of the high variables.  Any difference is a
-    counterexample and is reported, not raised.  A negative `trials`
+    variable of tier >= level and differ arbitrarily below (words of at
+    most NI_MAX_WORD_LEN symbols), runs both, and compares the final values
+    of the high variables.  Any difference is a counterexample and is
+    reported, not raised.  A negative `trials`
     raises ValueError.
     """
     if trials < 0:
@@ -217,12 +220,12 @@ def noninterference_test(
     failures: list[NIFailure] = []
     for trial in range(trials):
         oracle = random_table_oracle(rng) if uses_oracle else None
-        shared = {x: random_word(rng, max_word_len) for x in high}
+        shared = {x: random_word(rng, NI_MAX_WORD_LEN) for x in high}
         first_inputs = dict(shared)
         second_inputs = dict(shared)
         for x in low:
-            first_inputs[x] = random_word(rng, max_word_len)
-            second_inputs[x] = random_word(rng, max_word_len)
+            first_inputs[x] = random_word(rng, NI_MAX_WORD_LEN)
+            second_inputs[x] = random_word(rng, NI_MAX_WORD_LEN)
         first = run_program(
             program, first_inputs, oracle=oracle, fuel=fuel, registry=registry
         )

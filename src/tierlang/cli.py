@@ -238,7 +238,7 @@ def cmd_analyze(args) -> Outcome:
     oracle = None if args.oracle is None else TableOracle.load(args.oracle)
     if args.sweep:
         scales = _parse_range(args.sweep)
-    result = infer(program, t_max=t_max, with_derivation=False)
+    result = infer(program, t_max=t_max)
     out, err, files = [], [], []
     if result is None:
         err.append("warning: program is untypable; measurements carry no guarantees")

@@ -27,19 +27,20 @@ knobs, fixes the mode, has `_rules` record the facts in a fresh `_Graph`,
 each as one weighted edge in the predecessor list of the record it bounds
 from below, and fixes the tier cap; the default cap, the program size, is
 read off the node table, so typing never walks the tree for it.
-`least_tiers`, `_first_mode`, `typable` and `encode` all start from it.
+`encode` and `_solve` start from it.
 `_Graph.solve` finds the least tiers in one pass of Tarjan's strongly
 connected components over those lists.  A component closes only after
 every record it depends on, so its least tier is set as it closes: its
 highest lower pin, or an outside predecessor's tier plus the edge weight
 if that is higher.  An edge of weight 1 between two members, or a tier
 above t_max, means no typing, and so does a record above its upper pin at
-the end.  `least_tiers` solves one mode and returns a `TierSolution` that
-keeps the graph it solved; the checker in `tiers` solves through it.
-`_first_mode`, behind `infer` and `check_any`, tries the sealed mode and
-then the other, and hands the cap the first settled on to the second.
-`typable` only needs the verdict: it solves the two graphs the same way
-and builds no solution.
+the end.  `_solve` is the one driver: it builds and solves the graph of
+each mode it is given in turn, hands the cap the first settled on to the
+next, and returns the tiers of the first mode that types the program.
+`least_tiers` gives it one mode and returns a `TierSolution` that keeps
+the graph it solved.  `infer` gives it both, sealed mode first, and so
+does `tiers.check` unless a triple fixes the mode.  `typable` only needs
+the verdict, so it builds no solution.
 
 `encode` expands the same graph into 2-SAT over threshold bits, kept as an
 export and as the cross-check oracle in the tests.  Each record gets t_max+1
@@ -615,6 +616,32 @@ def _solution(
     return TierSolution(var_tiers, tiers, records.nodes, root_in, root_out, graph)
 
 
+# The two modes, in the order in which inference tries them: the sealed
+# outer channel first, so programs typable at outer tier 0 report that typing.
+_MODES = (True, False)
+
+
+def _solve(
+    program: Program,
+    modes: tuple[bool | None, ...],
+    t_max: int | None,
+    registry: Registry | None,
+    gamma: dict[str, int] | None,
+    triple: tuple[int, int, int] | None,
+) -> tuple[list[int], _Records, _Graph] | None:
+    """The least tiers, the records and the solved graph of the first mode
+    in `modes` that types the program, or None.  A mode of None is the one
+    `_constraints` picks.  The cap the first mode settles on, the default
+    one included, is the cap of the next."""
+    for outer_zero in modes:
+        graph, records, _ = _constraints(program, t_max, registry, gamma, triple, outer_zero)
+        tiers = graph.solve()
+        if tiers is not None:
+            return tiers, records, graph
+        t_max = graph.cap
+    return None
+
+
 def least_tiers(
     program: Program,
     *,
@@ -631,13 +658,8 @@ def least_tiers(
     returns, or None where that instance is unsatisfiable, without building
     the threshold instance.  The solution keeps the graph it was solved on.
     """
-    graph, records, _ = _constraints(
-        program, t_max, registry, gamma, triple, outer_zero
-    )
-    tiers = graph.solve()
-    if tiers is None:
-        return None
-    return _solution(tiers, records, graph)
+    solved = _solve(program, (outer_zero,), t_max, registry, gamma, triple)
+    return None if solved is None else _solution(*solved)
 
 
 def to_dimacs(encoding: Encoding) -> str:
@@ -655,40 +677,15 @@ def to_dimacs(encoding: Encoding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _first_mode(
-    program: Program,
-    *,
-    t_max: int | None,
-    registry: Registry | None,
-    gamma: dict[str, int] | None = None,
-) -> TierSolution | None:
-    """Least tiers in the first mode that types the program, trying the
-    sealed outer channel first.  The cap the first mode settles on, the
-    default one included, is the cap of the second."""
-    for outer_zero in (True, False):
-        graph, records, _ = _constraints(program, t_max, registry, gamma, None, outer_zero)
-        tiers = graph.solve()
-        if tiers is not None:
-            return _solution(tiers, records, graph)
-        t_max = graph.cap
-    return None
-
-
 def typable(
     program: Program,
     *,
     t_max: int | None = None,
     registry: Registry | None = None,
 ) -> bool:
-    """Whether `infer` finds a typing, without building a derivation: the
-    graph of each mode is solved in turn, as `_first_mode` does, and no
-    solution is assembled."""
-    for outer_zero in (True, False):
-        graph, _, _ = _constraints(program, t_max, registry, None, None, outer_zero)
-        if graph.solve() is not None:
-            return True
-        t_max = graph.cap
-    return False
+    """Whether `infer` finds a typing, without building a solution or a
+    derivation."""
+    return _solve(program, _MODES, t_max, registry, None, None) is not None
 
 
 @dataclass(frozen=True)
@@ -719,29 +716,26 @@ def infer(
     *,
     t_max: int | None = None,
     registry: Registry | None = None,
-    with_derivation: bool = True,
 ) -> InferenceResult | None:
     """Find a tier typing with pointwise least tiers, or None.
 
     Both modes are tried, sealed outer channel first, so programs typable at
-    outer tier 0 report that typing.  Unless `with_derivation` is switched
-    off, a full derivation is built from the solved tiers and validated rule
-    by rule.  `clause_count` and `num_bool_vars` give the size of the
-    threshold instance `encode` would build for the successful mode.
+    outer tier 0 report that typing.  A full derivation is built from the
+    solved tiers and validated rule by rule.  `clause_count` and
+    `num_bool_vars` give the size of the threshold instance `encode` would
+    build for the successful mode.
     """
-    solution = _first_mode(program, t_max=t_max, registry=registry)
-    if solution is None:
+    solved = _solve(program, _MODES, t_max, registry, None, None)
+    if solved is None:
         return None
+    solution = _solution(*solved)
     graph = solution.graph
-    derivation = None
-    if with_derivation:
-        from .tiers import derive
+    from .tiers import derive
 
-        derivation = derive(solution, solution.triple, registry)
     return InferenceResult(
         gamma=solution.var_tiers,
         triple=solution.triple,
-        derivation=derivation,
+        derivation=derive(solution, solution.triple, registry),
         outer_zero=solution.outer_zero,
         t_max=graph.cap,
         clause_count=graph.clause_count,

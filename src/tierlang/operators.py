@@ -24,13 +24,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .syntax import literal_word
-
 ALPHABET = ("0", "1")
+
+LITERAL_PREFIX = "lit:"
 
 
 def is_word(w: object) -> bool:
     return isinstance(w, str) and not w.strip("01")
+
+
+def literal_op_name(word: str) -> str:
+    """Registry name of the nullary operator denoting a word literal."""
+    return LITERAL_PREFIX + word
+
+
+def literal_word(op_name: str) -> str | None:
+    """Inverse of literal_op_name, or None for ordinary operators."""
+    if op_name.startswith(LITERAL_PREFIX):
+        return op_name[len(LITERAL_PREFIX):]
+    return None
 
 
 def is_subword(u: str, v: str) -> bool:

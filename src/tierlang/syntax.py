@@ -52,15 +52,9 @@ from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
+from .operators import DEFAULT_REGISTRY, is_word, literal_op_name, literal_word
+
 KEYWORDS = frozenset({"skip", "if", "else", "while", "return"})
-
-LITERAL_PREFIX = "lit:"
-
-
-def literal_op_name(word: str) -> str:
-    """Registry name of the nullary operator denoting a word literal."""
-    return LITERAL_PREFIX + word
-
 
 # The longest word a numeral may denote.  A word of 10^7 symbols takes
 # 10 MB, and each builtin step copies a whole word, so a run over one that
@@ -78,13 +72,6 @@ def unary_word(numeral: str) -> str:
     if n > MAX_WORD:
         raise ValueError(f"numeral {n} is above the limit {MAX_WORD}")
     return "1" * n
-
-
-def literal_word(op_name: str) -> str | None:
-    """Inverse of literal_op_name, or None for ordinary operators."""
-    if op_name.startswith(LITERAL_PREFIX):
-        return op_name[len(LITERAL_PREFIX):]
-    return None
 
 
 class ParseError(Exception):
@@ -368,7 +355,7 @@ def _malformed(source: str) -> ParseError | None:
         if first == '"':
             if len(text) == 1:
                 message = "unterminated word literal"
-            elif text[1:-1].strip("01"):
+            elif not is_word(text[1:-1]):
                 message = f'word literal "{text[1:-1]}" has symbols outside 0/1'
             else:
                 continue
@@ -508,7 +495,7 @@ class _Parser:
                 return OpApp(literal_op_name(unary_word(text)))
             except ValueError as exc:
                 raise self.error(str(exc), left) from None
-        if text[:1] == '"' and len(text) > 1 and not text[1:-1].strip("01"):
+        if text[:1] == '"' and len(text) > 1 and is_word(text[1:-1]):
             toks.pop()
             return OpApp(literal_op_name(text[1:-1]))
         raise self.error(f"expected an expression, found {_shown(text)!r}")
@@ -541,8 +528,6 @@ def parse(source: str, registry=None) -> Program:
     of any error the parser met before reaching it, as if the whole source
     were scanned before parsing began."""
     if registry is None:
-        from .operators import DEFAULT_REGISTRY
-
         registry = DEFAULT_REGISTRY
     try:
         return _Parser(source, registry).parse_program()

@@ -68,8 +68,9 @@ from .inference import (
     RULE_WHILE,
     RULE_WHILE_ZERO,
     TierSolution,
-    _first_mode,
-    least_tiers,
+    _MODES,
+    _solution,
+    _solve,
 )
 
 # Kept under their old names because the benchmark's tracer patches
@@ -180,37 +181,25 @@ def admissible_op_type(
 def check(
     program: Program,
     gamma: dict[str, int],
-    triple: tuple[int, int, int],
+    triple: tuple[int, int, int] | None = None,
     *,
     registry: Registry | None = None,
     t_max: int | None = None,
 ) -> Derivation | None:
-    """Decide whether the program types at the given environment and triple.
+    """Decide whether the program types under `gamma`, at `triple` if given.
 
     Returns a validated derivation tree on success, None otherwise.  `gamma`
     may leave variables out; their tiers are then chosen by the solver.
+    With no triple, the derivation is that of the least typing in the first
+    mode that types the program, sealed outer channel first, and its
+    `triple` is the one found.
     """
-    solution = least_tiers(
-        program, t_max=t_max, registry=registry, gamma=gamma, triple=triple
-    )
-    if solution is None:
+    modes = _MODES if triple is None else (None,)  # a triple fixes the mode
+    solved = _solve(program, modes, t_max, registry, gamma, triple)
+    if solved is None:
         return None
-    return derive(solution, triple, registry)
-
-
-def check_any(
-    program: Program,
-    gamma: dict[str, int],
-    *,
-    registry: Registry | None = None,
-    t_max: int | None = None,
-) -> tuple[TypedTriple, Derivation] | None:
-    """Find some triple at which the program types under a fixed gamma."""
-    solution = _first_mode(program, t_max=t_max, registry=registry, gamma=gamma)
-    if solution is None:
-        return None
-    triple = TypedTriple(*solution.triple)
-    return triple, derive(solution, triple, registry)
+    solution = _solution(*solved)
+    return derive(solution, solution.triple if triple is None else triple, registry)
 
 
 def derive(

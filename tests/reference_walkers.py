@@ -1,8 +1,9 @@
 """Recursive AST walkers, kept only as the reference for the tests.
 
 These are the walkers `tierlang.syntax` had before `program_size`,
-`variables_of`, `assigned_vars` and `has_oracle_call` became loops over
-`syntax.children`, the printer of `;` chains before it became a loop, and
+`variables_of`, `assigned_vars` and `has_oracle_call` became loops
+(`variables_of` a stack loop of its own, the others loops over
+`syntax.preorder`), the printer of `;` chains before it became a loop, and
 `tree_key`, the comparison that the dataclass-generated `__eq__` made before
 structural equality became a loop.
 Each recurses once per nesting level and once per chain link, so they only

@@ -36,7 +36,6 @@ from tierlang.tiers import (
     admissible_op_type,
     audit_derivation,
     check,
-    check_any,
     verify_derivation,
 )
 
@@ -65,16 +64,15 @@ def test_check_accepts_lifted_typing():
     verify_derivation(d, {"x": 2, "y": 0})
 
 
-def test_check_any_finds_a_triple():
-    found = check_any(ADD, {"x": 1, "y": 0})
-    assert found is not None
-    triple, derivation = found
-    assert triple == (1, 1, 0)
+def test_check_without_a_triple_finds_one():
+    derivation = check(ADD, {"x": 1, "y": 0})
+    assert derivation is not None
+    assert derivation.triple == (1, 1, 0)
     assert derivation.rule in {"while", "while-zero", "lift"}
 
 
-def test_check_any_gives_up_on_bad_gamma():
-    assert check_any(ADD, {"x": 0, "y": 1}) is None
+def test_check_without_a_triple_gives_up_on_bad_gamma():
+    assert check(ADD, {"x": 0, "y": 1}) is None
 
 
 def _tamper(d: Derivation) -> Derivation:
@@ -183,7 +181,7 @@ def test_the_typing_path_leaves_no_reference_cycles(corpus):
             if result is None:
                 continue
             assert check(p, result.gamma, result.triple) is not None
-            assert check_any(p, result.gamma) is not None
+            assert check(p, result.gamma) is not None
             audit_derivation(result.derivation, result.gamma)
         assert gc.collect() == 0
     finally:
@@ -534,6 +532,8 @@ def test_check_matches_exhaustive_table():
         "if (gt0(x)) { y := suc1(x) } else { y := x } return y",
         "x := y; while (gt0(y)) { y := pred(y) } return x",
         "while (gt0(x)) { while (gt0(y)) { y := pred(y) } ; x := pred(x) } return x",
+        # types only with a positive outer channel when gamma puts z above 0
+        "y := phi(x | z) return y",
     ]
     cap = 2
     for src in sources:
@@ -542,10 +542,17 @@ def test_check_matches_exhaustive_table():
         table = typing_table(p, cap)
         for tiers in itertools.product(range(cap + 1), repeat=len(names)):
             gamma = dict(zip(names, tiers))
+            key = tuple(sorted(gamma.items()))
             for triple in itertools.product(range(cap + 1), repeat=3):
-                expected = (tuple(sorted(gamma.items())), triple) in table
+                expected = (key, triple) in table
                 got = check(p, gamma, triple, t_max=cap) is not None
                 assert got == expected, (src, gamma, triple)
+            # with no triple, check finds one exactly when the table has one
+            d = check(p, gamma, t_max=cap)
+            assert (d is not None) == any(g == key for g, _ in table), (src, gamma)
+            if d is not None:
+                assert (key, d.triple) in table, (src, gamma, d.triple)
+                assert audit_derivation(d, gamma).ok, (src, gamma)
 
 
 def test_oracle_side_condition_enforced():
@@ -564,10 +571,18 @@ def test_check_matches_exhaustive_table_on_random_programs(p):
     table = typing_table(p, cap)
     for tiers in itertools.product(range(cap + 1), repeat=len(names)):
         gamma = dict(zip(names, tiers))
+        key = tuple(sorted(gamma.items()))
         for triple in itertools.product(range(cap + 1), repeat=3):
             d = check(p, gamma, triple, t_max=cap)
-            expected = (tuple(sorted(gamma.items())), triple) in table
+            expected = (key, triple) in table
             assert (d is not None) == expected, (gamma, triple)
             if d is not None:
                 report = audit_derivation(d, gamma)
                 assert report.ok, report.violations
+        # with no triple, check finds one exactly when the table has one
+        d = check(p, gamma, t_max=cap)
+        assert (d is not None) == any(g == key for g, _ in table), gamma
+        if d is not None:
+            assert (key, d.triple) in table, (gamma, d.triple)
+            report = audit_derivation(d, gamma)
+            assert report.ok, report.violations
