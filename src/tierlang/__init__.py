@@ -22,7 +22,6 @@ from .inference import (
     encode,
     infer,
     least_tiers,
-    solve_2sat,
     to_dimacs,
     typable,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "pretty",
     "program_size",
     "run_program",
-    "solve_2sat",
     "sweep",
     "to_dimacs",
     "truncate_pad",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping
 
 from .operators import Registry, random_word
@@ -86,14 +86,7 @@ class SweepReport:
     max_lr: int
 
     def to_json(self) -> dict:
-        return {
-            "points": [
-                {"scale": p.scale, "m": p.m, "steps": p.steps, "lr": p.lr}
-                for p in self.points
-            ],
-            "slope": self.slope,
-            "max_lr": self.max_lr,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"{'scale':>8} {'m':>10} {'steps':>12} {'lr':>4}"]
@@ -175,20 +168,9 @@ class NIReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "trials": self.trials,
-            "ok": self.ok,
-            "failures": [
-                {
-                    "trial": f.trial,
-                    "variable": f.variable,
-                    "first": f.first,
-                    "second": f.second,
-                }
-                for f in self.failures
-            ],
-        }
+        """The fields, with the derived `ok` before the failures."""
+        level, trials, failures = asdict(self).items()
+        return dict([level, trials, ("ok", self.ok), failures])
 
 
 def noninterference_test(

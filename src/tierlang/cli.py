@@ -24,7 +24,8 @@ tier of the judgement can cost a lift node in the derivation.  A value
 above the limit is a usage error.  A numeral above `syntax.MAX_WORD`
 (10^7) is refused before its word is built: in the source as a parse
 error, in `--input` or as a `--sweep` end as a usage error, before any
-word or list of scales is made.
+word or list of scales is made.  A `--sweep` range that starts below 0 is
+a usage error too: no input has a negative scale.
 
 Input bindings are var=VALUE where var is a variable name, given at most
 once, and VALUE made of 0/1 only is taken as a literal word and any other
@@ -47,7 +48,7 @@ from pathlib import Path
 from . import analysis
 from .corpus import load_corpus
 from .inference import encode, infer, to_dimacs
-from .operators import builtin_registry
+from .operators import builtin_registry, is_word
 from .semantics import (
     FuelExhausted,
     OracleRequired,
@@ -85,7 +86,7 @@ def _read_program(path: str):
 
 
 def _parse_input_value(text: str) -> str:
-    if set(text) <= {"0", "1"}:
+    if is_word(text):
         return text
     if text.isdigit():
         return unary_word(text)
@@ -137,6 +138,8 @@ def _parse_range(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step <= 0 or lo > hi:
         raise ValueError(f"range {text!r} needs lo <= hi and a positive step")
+    if lo < 0:
+        raise ValueError(f"range {text!r} starts below scale 0")
     if hi > MAX_WORD:
         raise ValueError(f"range {text!r} reaches past the longest word")
     return list(range(lo, hi + 1, step))

@@ -58,7 +58,8 @@ these clauses are implications between bits or unit literals, so the
 models are closed under union and a greatest one exists: greatest in "at
 most" bits is least in tiers.
 `solve_2sat` finds it, and accepts only such implicational instances;
-`decode` reads the tiers back and `to_dimacs` renders the instance.
+`to_dimacs` renders the instance, with a legend that names each record
+and its bits.
 """
 
 from __future__ import annotations
@@ -139,15 +140,8 @@ class Encoding:
 
     t_max: int
     clause_set: ClauseSet
-    records: _Records
     outer_zero: bool
     record_names: list[str]
-
-    def bit(self, record: int, i: int) -> int:
-        """DIMACS variable for "tier of record <= i"."""
-        if not 0 <= i <= self.t_max:
-            raise IndexError(f"threshold {i} outside 0..{self.t_max}")
-        return _bit(record, i, self.t_max)
 
 
 class _Graph:
@@ -522,7 +516,7 @@ def encode(
         program, t_max, registry, gamma, triple, outer_zero
     )
     names = _record_names(len(graph.pred), records)
-    return Encoding(graph.cap, graph.threshold_clauses(), records, outer_zero, names)
+    return Encoding(graph.cap, graph.threshold_clauses(), outer_zero, names)
 
 
 def solve_2sat(clause_set: ClauseSet) -> list[bool] | None:
@@ -566,15 +560,15 @@ def solve_2sat(clause_set: ClauseSet) -> list[bool] | None:
 class TierSolution:
     """Concrete tiers, one per record, with the node table whose rows name
     the records of every node; the variable and root channel tiers are
-    read out.  `graph` is the constraint graph `least_tiers` solved (None
-    from `decode`); `==` and `repr` leave it out."""
+    read out.  `graph` is the constraint graph the tiers were solved on;
+    `==` and `repr` leave it out."""
 
     var_tiers: dict[str, int]
     tiers: list[int]
     nodes: list[Row]
     root_in: int
     root_out: int
-    graph: _Graph | None = field(default=None, compare=False, repr=False)
+    graph: _Graph = field(compare=False, repr=False)
 
     @property
     def root_tier(self) -> int:
@@ -590,26 +584,7 @@ class TierSolution:
         return self.root_out == 0
 
 
-def decode(encoding: Encoding, assignment: list[bool]) -> TierSolution:
-    """Read tiers out of a model: least set threshold bit per record."""
-
-    def tier_of(record: int) -> int:
-        base = encoding.bit(record, 0) - 1
-        bits = assignment[base : base + encoding.t_max + 1]
-        tier = next(i for i, set_ in enumerate(bits) if set_)
-        if not all(bits[tier:]):
-            raise AssertionError(
-                f"record {encoding.record_names[record]} is not monotone"
-            )
-        return tier
-
-    tiers = [tier_of(r) for r in range(len(encoding.record_names))]
-    return _solution(tiers, encoding.records)
-
-
-def _solution(
-    tiers: list[int], records: _Records, graph: _Graph | None = None
-) -> TierSolution:
+def _solution(tiers: list[int], records: _Records, graph: _Graph) -> TierSolution:
     """Read tiers out per record for what `_rules` returned."""
     var_tiers = {x: tiers[r] for x, r in records.var_records.items()}
     root_in, root_out = tiers[records.root_in], tiers[records.root_out]
@@ -654,9 +629,10 @@ def least_tiers(
     """Pointwise least tiers for the constraints `encode` would compile.
 
     Takes the same knobs as `encode`, with `t_max` as the cap on every tier,
-    and returns what `decode(encoding, solve_2sat(encoding.clause_set))`
-    returns, or None where that instance is unsatisfiable, without building
-    the threshold instance.  The solution keeps the graph it was solved on.
+    and returns the tiers that the greatest model of that instance,
+    `solve_2sat(encoding.clause_set)`, denotes (each record's least set
+    threshold bit), or None where the instance is unsatisfiable, without
+    building it.  The solution keeps the graph it was solved on.
     """
     solved = _solve(program, (outer_zero,), t_max, registry, gamma, triple)
     return None if solved is None else _solution(*solved)

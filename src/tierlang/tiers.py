@@ -34,7 +34,7 @@ hash without recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
@@ -388,13 +388,7 @@ class AuditReport:
     violations: tuple[AuditViolation, ...]
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "where": v.where, "detail": v.detail}
-                for v in self.violations
-            ],
-        }
+        return asdict(self)
 
 
 def _access_tiers(

@@ -75,6 +75,17 @@ def cmds(allow_oracle: bool = False, var_names=VAR_NAMES):
     return st.recursive(base, extend, max_leaves=5)
 
 
-def programs(allow_oracle: bool = False, var_names=VAR_NAMES):
-    return st.builds(Program, cmds(allow_oracle, var_names),
-                     st.sampled_from(var_names))
+def programs(allow_oracle: bool = False, var_names=VAR_NAMES,
+             top_oracle: bool = False):
+    """Random programs.  With `top_oracle`, two draws in three also assign
+    an oracle call on two variables outside every loop, before or after the
+    rest: the sealed mode pins such a call's bound to tier 0, so these
+    programs often type under some environments only in the positive mode."""
+    body = cmds(allow_oracle, var_names)
+    if top_oracle:
+        var = st.builds(Var, st.sampled_from(var_names))
+        call = st.builds(Assign, st.sampled_from(var_names),
+                         st.builds(OracleCall, var, var))
+        body = st.one_of(body, st.builds(_seq, call, body),
+                         st.builds(_seq, body, call))
+    return st.builds(Program, body, st.sampled_from(var_names))

@@ -71,6 +71,7 @@ def test_run_fuel_exhaustion(add_file, capsys):
     ["analyze", "--ni", "--trials", "-3"],
     ["analyze", "--sweep", "1:4:-1"],
     ["analyze", "--sweep", "4:1"],
+    ["analyze", "--sweep=-1:3"],
     ["run", "--input", "=3"],
     ["run", "--input", "x y=3"],
     ["run", "--input", "while=3"],
@@ -79,8 +80,8 @@ def test_run_fuel_exhaustion(add_file, capsys):
     ["analyze", "--plot-data", "out.tsv"],
     ["run", "--input", "x=11", "--input", "x=111"],
 ], ids=["negative-fuel", "negative-sweep-fuel", "negative-trials", "negative-step",
-        "empty-range", "empty-name", "spaced-name", "keyword-name", "repeated-gamma-name",
-        "gamma-without-tier", "plot-data-without-sweep", "repeated-input-name"])
+        "empty-range", "negative-start", "empty-name", "spaced-name", "keyword-name",
+        "repeated-gamma-name", "gamma-without-tier", "plot-data-without-sweep", "repeated-input-name"])
 def test_bad_numbers_and_names_are_usage_errors(argv, add_file, tmp_path, capsys,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -8,15 +8,30 @@ reports of it, one under the inferred environment and one under an
 environment with every tier moved up by one, modulo 3, which makes the
 audit report violations.  An entry that does not type has None for the
 last two.
+
+`ANALYZE_GOLDEN` pins the JSON of the runtime reports the same way: the
+sweep report at scales 1 to 12, with every variable scaled and a table
+oracle drawn from seed 0 for a program that calls one, and, when the entry
+types, the non-interference reports at every level of the inferred
+environment and of the forged one, 20 trials each from seed 0.  The forged
+environment makes some trials fail, so the failures are pinned too.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from tierlang.analysis import (
+    noninterference_test,
+    random_table_oracle,
+    sweep,
+    unary_inputs,
+)
 from tierlang.corpus import load_corpus
 from tierlang.inference import encode, infer, to_dimacs
+from tierlang.syntax import has_oracle_call, variables_of
 from tierlang.tiers import audit_derivation
 
 GOLDEN = {
@@ -94,6 +109,57 @@ GOLDEN = {
     ),
 }
 
+ANALYZE_GOLDEN = {
+    "skip": (
+        "2beea202cba9a7a8dee8f6b904f915f5a34425b5831f15636d19c732f3362b15",
+        "5187b73479c6380455eb99ed0bdff0b511eb08958103bf2839e7b7a125613780",
+    ),
+    "add": (
+        "af9ff5e8aa55baaa6849473703e06b1f3f6ec3f2c4c10282ac580a4be50c4544",
+        "4141d2ac2dca7b3d6b0c952639f262414a9f9e24f5cb5c543fe8bd7104092615",
+    ),
+    "exp_blowup": (
+        "3bf34d704e32190882cbf55fbf5403997b0daa82d02a57f9ac1a6c2f2bad3700",
+        None,
+    ),
+    "three_tiers": (
+        "5846e8f17ff8b731b67547e2595abfd09fbb0b0eaf5fa87c4b5d3ecd0fd586b7",
+        "67a94edadfb524ae7d8772434d248d1420f7931261a527ba7a4e1ea9d42da083",
+    ),
+    "three_tiers_low": (
+        "5846e8f17ff8b731b67547e2595abfd09fbb0b0eaf5fa87c4b5d3ecd0fd586b7",
+        None,
+    ),
+    "oracle_search": (
+        "6efbfd304d9b8d183eb2dac127f134ca1a9015a605ef636f901bdf7e4130f85d",
+        "4141d2ac2dca7b3d6b0c952639f262414a9f9e24f5cb5c543fe8bd7104092615",
+    ),
+    "oracle_search_swapped": (
+        "6efbfd304d9b8d183eb2dac127f134ca1a9015a605ef636f901bdf7e4130f85d",
+        None,
+    ),
+    "oracle_increasing": (
+        "75fbbf9d4ed4377ef14db1303582ac7c9fe1398e7422ce06f2920dedce26f961",
+        None,
+    ),
+    "oracle_scan_tally": (
+        "0fee1eba6c2ce78e13413059c49fb569abe6f74613c2845f6b7ce304f804731a",
+        "d9c6993368c5f636cbc8549eddd16c4a03f4daefab32e8fd8dd632265e191ab2",
+    ),
+    "iterate": (
+        "08ebdefa36962f6acaad5f456a7d3e701eece90fee8ed5a9bff8515ee6a2d234",
+        "4141d2ac2dca7b3d6b0c952639f262414a9f9e24f5cb5c543fe8bd7104092615",
+    ),
+    "shared_bound": (
+        "5ffd19f59ee171295b4fdec8ba12e328148afbe7c16c46a03e8fce471f9bc4ab",
+        "239bda8c5ee79728c0e04a4b4b62e0e58be6d50fb86f748ebb0b5ae546a8ca15",
+    ),
+    "nested_copy": (
+        "c0096c72c5381f02b7074f763b2c797d457c1134e7d4cf2f913a3ee05066af7f",
+        "4141d2ac2dca7b3d6b0c952639f262414a9f9e24f5cb5c543fe8bd7104092615",
+    ),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -120,3 +186,26 @@ def test_exports_match_their_golden_digests(entry):
 
 def test_every_corpus_entry_has_golden_digests():
     assert sorted(GOLDEN) == sorted(entry.name for entry in load_corpus())
+
+
+def analyze_digests(entry) -> tuple:
+    p = entry.program()
+    oracle = random_table_oracle(random.Random(0)) if has_oracle_call(p) else None
+    report = sweep(p, unary_inputs(*variables_of(p)), oracle, range(1, 13))
+    result = infer(p, t_max=entry.t_max)
+    if result is None:
+        return _sha(json.dumps(report.to_json())), None
+    forged = {x: (t + 1) % 3 for x, t in result.gamma.items()}
+    reports = [noninterference_test(p, gamma, level, trials=20, seed=0).to_json()
+               for gamma in (result.gamma, forged)
+               for level in sorted(set(gamma.values()))]
+    return _sha(json.dumps(report.to_json())), _sha(json.dumps(reports))
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda entry: entry.name)
+def test_analyze_reports_match_their_golden_digests(entry):
+    assert analyze_digests(entry) == ANALYZE_GOLDEN[entry.name]
+
+
+def test_every_corpus_entry_has_analyze_digests():
+    assert sorted(ANALYZE_GOLDEN) == sorted(entry.name for entry in load_corpus())

@@ -1,10 +1,12 @@
 """Constraint generator, least-tiers solver and 2-SAT export tests.
 
 `least_tiers` (longest paths over difference constraints) is cross-checked
-against the clause pipeline, `decode(solve_2sat(encode(...)))`, on random
-programs with random caps and pins, and `typable` against the clause
-pipeline's verdict.  The clauses are expanded from the same constraint
-graph the solver uses, so the pipeline checks the solving, not the rules.
+against the clause pipeline on random programs with random caps and pins,
+and `typable` against the clause pipeline's verdict.  The pipeline solves
+`encode(...)` with `solve_2sat` and reads each record's tier off the model,
+as its least set threshold bit, under the name the legend gives it.  The
+clauses are expanded from the same constraint graph the solver uses, so
+the pipeline checks the solving, not the rules.
 `solve_2sat`, a greatest-model solver for implicational 2-CNF that shares
 no code with `least_tiers`, is itself cross-checked against exhaustive
 assignment search on small random implicational instances.
@@ -19,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from tierlang import inference
 from tierlang.inference import (
     ClauseSet,
-    decode,
     encode,
     infer,
     least_tiers,
@@ -187,13 +188,10 @@ def test_negative_tier_cap_is_rejected():
 
 
 def test_decode_reports_node_and_var_tiers():
-    p = parse(ADD_SRC)
-    enc = encode(p)
-    model = solve_2sat(enc.clause_set)
-    sol = decode(enc, model)
-    assert sol.var_tiers == {"x": 1, "y": 0}
-    assert sol.triple == (1, 1, 0)
-    assert sol.root_tier == 1  # the root command's record
+    named = clause_pipeline(parse(ADD_SRC))
+    assert (named["var x"], named["var y"]) == (1, 0)
+    assert named["while at root"] == 1  # the root command's record
+    assert (named["root inner channel"], named["root outer channel"]) == (1, 0)
 
 
 def test_infer_result_json_shape():
@@ -221,7 +219,11 @@ def test_strict_and_plain_edges_to_one_record_both_expand():
     enc = encode(parse("while (gt0(x)) { y := phi(x | y) } return y"), t_max=1)
     names = enc.record_names
     loop, call = names.index("while at root"), names.index("oracle at body/value")
-    bit, clauses = enc.bit, enc.clause_set.clauses
+    clauses = enc.clause_set.clauses
+
+    def bit(record, i):  # "tier of record <= i", numbered as in the legend
+        return record * (enc.t_max + 1) + i + 1
+
     assert clauses.count((-bit(loop, 1), bit(call, 0))) == 1  # strict
     assert clauses.count((-bit(loop, 0), bit(call, 0))) == 1  # plain
     assert clauses.count((-bit(loop, 1), bit(call, 1))) == 1  # plain
@@ -253,9 +255,19 @@ def test_clause_growth_is_quadratic_at_worst(corpus):
 
 
 def clause_pipeline(p, **knobs):
+    """Each record's tier in the greatest model of the threshold instance,
+    keyed by its legend name in record order; None if there is no model."""
     enc = encode(p, **knobs)
     model = solve_2sat(enc.clause_set)
-    return None if model is None else decode(enc, model)
+    if model is None:
+        return None
+    width = enc.t_max + 1
+    named = {}
+    for name, start in zip(enc.record_names, range(0, len(model), width)):
+        bits = model[start : start + width]
+        named[name] = bits.index(True)
+        assert all(bits[named[name]:]), f"{name} is not monotone"
+    return named
 
 
 @given(programs(allow_oracle=True))
@@ -287,7 +299,15 @@ def test_least_tiers_matches_clause_pipeline(p, data):
     )
     for outer_zero in (True, False):
         knobs = dict(t_max=t_max, gamma=gamma, triple=triple, outer_zero=outer_zero)
-        assert least_tiers(p, **knobs) == clause_pipeline(p, **knobs)
+        sol, named = least_tiers(p, **knobs), clause_pipeline(p, **knobs)
+        assert (sol is None) == (named is None)
+        if sol is not None:
+            assert sol.tiers == list(named.values())
+            assert sol.var_tiers == {
+                n[4:]: t for n, t in named.items() if n.startswith("var ")
+            }
+            assert sol.root_in == named["root inner channel"]
+            assert sol.root_out == named["root outer channel"]
 
 
 @given(programs(allow_oracle=True), st.data())
