@@ -57,10 +57,10 @@ from .semantics import (
     run_program,
 )
 from .syntax import (
-    KEYWORDS,
     MAX_WORD,
     ParseError,
     has_oracle_call,
+    is_name,
     parse,
     pretty,
     program_to_json,
@@ -101,8 +101,7 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
         name, _, value = pair.partition("=")
         name = name.strip()
         # A variable name as the lexer reads one: no program reads others.
-        if (not re.fullmatch(r"\w+", name) or name in KEYWORDS
-                or not (name[0].isalpha() or name[0] == "_")):
+        if not (re.fullmatch(r"\w+", name) and is_name(name)):
             raise ValueError(f"input name {name!r} is not a variable name")
         if name in out:
             raise ValueError(f"--input gives {name!r} twice")

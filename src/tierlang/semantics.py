@@ -25,16 +25,19 @@ The builtins are inlined, and a run of ticks that nothing between them
 can interrupt is charged with one addition and one fuel check.  Every
 point that may raise or call outside code, and every loop iteration,
 checks the fuel first, so the steps, the errors and the query log are
-those of the derivation at every fuel.  The source names no variable,
-operator or word of the program; they are bound through the namespace
-the source is executed in.  A compound command nested `_LEVELS` deep
-within one function becomes a function of its own, which takes and
-returns the locals and flags of the variables its own subtree names, and
-the emitter walks the tree with an explicit stack: a program of any
-length compiles and runs, and a run needs one Python frame per `_LEVELS`
-levels of nesting.  The result is compiled once per program and registry
-and kept on the program; it keeps all run state in its frame, so it is
-reentrant and threads may share it.
+those of the derivation at every fuel.  A guard made of a builtin
+predicate becomes a Python condition and is never stuck; any other guard
+is a word, checked for 0 or 1 once, where the guard is evaluated, so a
+conditional or a loop only ever tests a condition.  The source names no
+variable, operator or word of the program; they are bound through the
+namespace the source is executed in.  A compound command nested
+`_LEVELS` deep within one function becomes a function of its own, which
+takes and returns the locals and flags of the variables its own subtree
+names, and the emitter walks the tree with an explicit stack: a program
+of any length compiles and runs, and a run needs one Python frame per
+`_LEVELS` levels of nesting.  The result is compiled once per program and
+registry and kept on the program; it keeps all run state in its frame,
+so it is reentrant and threads may share it.
 
 Words are validated where they enter: input bindings (`Store`), table
 rows (`TableOracle`), oracle answers, and results of operators that are
@@ -269,7 +272,8 @@ _LEVELS = 16
 # by the builtin function itself, so an operator is inlined only when the
 # registry resolves it to a builtin, whatever its name.  A predicate is
 # also written as the condition under which it gives 1: a guard made of
-# one needs no word and is never stuck.
+# one needs no word and is never stuck.  Any other guard is a word, checked
+# for 0 or 1 once, in `_Emitter.guard`.
 _CONDITIONS = {"eq": "{0} == {1}", "gt0": "{0}", "geq": "len({0}) >= len({1})"}
 _TEMPLATES = {
     "pred": "{0}[1:]", "suc0": "'0' + {0}", "suc1": "'1' + {0}",
@@ -315,8 +319,7 @@ class _Emitter:
         self.lines: list[str] | None = None  # None outside the top function
         self.slots_named: dict[int, None] = {}  # the slots this function names
         self.indent = self.level = self.pending = 0
-        self.test: str | None = None
-        self.word = ""
+        self.test = self.word = ""
 
     def const(self, value) -> str:
         """The generated name that binds ``value`` in the namespace, so no
@@ -426,9 +429,13 @@ class _Emitter:
             raise TypeError(f"not a command: {c!r}")
 
     def guard(self, e: Expr):
-        """Evaluate a guard, and leave in ``test`` the Python condition
-        under which it is 1, or None when it is a word in ``word`` that may
-        be stuck."""
+        """Evaluate a guard and leave in ``test`` the Python condition under
+        which it is 1.  A builtin predicate becomes that condition itself
+        and is never stuck.  Any other guard is a word in ``word``, and the
+        one stuck check is written here: a word outside {0, 1} charges the
+        guard's ticks, checks the fuel and raises `StuckGuard`.  That costs
+        at most one more string comparison per test than testing the word
+        in place, in the head of the conditional or the loop."""
         fn = self.resolve(e.op, len(e.args)) if isinstance(e, OpApp) else None
         if fn in _TESTS:
             args = []
@@ -439,29 +446,24 @@ class _Emitter:
             self.test = _TESTS[fn].format(*args)
         else:
             yield self.expr(e, 0)
-            self.test = None
-
-    def stuck(self, before: int, word: str) -> None:
-        self.pending = before
-        self.check()
-        self.line(f"raise StuckGuard({word})")
+            word, before = self.word, self.pending
+            self.line(f"if {word} != '1' and {word} != '0':")
+            self.indent += 1
+            self.check()
+            self.line(f"raise StuckGuard({word})")
+            self.indent -= 1
+            self.pending = before
+            self.test = f"{word} == '1'"
 
     def branch(self, c: If):
         yield self.guard(c.guard)
-        before, test, word = self.pending, self.test, self.word
-        heads = (f"if {word} == '1':", f"elif {word} == '0':") if test is None else (
-            f"if {test}:", "else:")
-        for head, part in zip(heads, (c.then, c.orelse)):
+        before = self.pending
+        for head, part in zip((f"if {self.test}:", "else:"), (c.then, c.orelse)):
             self.line(head)
             self.indent += 1
             self.pending = before
             yield self.cmd(part)
             self.charge()
-            self.indent -= 1
-        if test is None:
-            self.line("else:")
-            self.indent += 1
-            self.stuck(before, word)
             self.indent -= 1
         self.pending = 1
 
@@ -473,19 +475,14 @@ class _Emitter:
         self.line("while True:")
         self.indent += 1
         yield self.guard(c.guard)
-        before, test, word = self.pending, self.test, self.word
-        self.line(f"if {word} != '1':" if test is None else f"if not ({test}):")
+        ticks = self.pending + 1  # the guard's and the loop rule's
+        self.line(f"if not ({self.test}):")
         self.indent += 1
-        if test is None:
-            self.line(f"if {word} != '0':")
-            self.indent += 1
-            self.stuck(before, word)
-            self.indent -= 1
-        self.pending = before + 1
+        self.pending = ticks
         self.charge()
         self.line("break")
         self.indent -= 1
-        self.pending = before + 1
+        self.pending = ticks
         yield self.cmd(c.body)
         self.pending += 1
         self.check()

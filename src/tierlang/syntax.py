@@ -332,8 +332,9 @@ def _error(source: str, message: str, offset: int) -> ParseError:
     return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
-def _is_name(text: str) -> bool:
-    """Is the token a name that is not a keyword?"""
+def is_name(text: str) -> bool:
+    """Is the token a name that is not a keyword?  Of the tokens made of
+    word characters, names are those that start with a letter or ``_``."""
     first = text[:1]
     return (first.isalpha() or first == "_") and text not in KEYWORDS
 
@@ -413,7 +414,7 @@ class _Parser:
         body = self.parse_cmd()
         self.expect("return")
         ret = self.toks[-1]
-        if not _is_name(ret):
+        if not is_name(ret):
             raise self.error(f"expected 'IDENT', found {_shown(ret)!r}")
         self.toks.pop()
         self.expect("")
@@ -434,7 +435,7 @@ class _Parser:
     def parse_simple_cmd(self) -> Cmd:
         toks = self.toks
         text = toks[-1]
-        if _is_name(text):
+        if is_name(text):
             toks.pop()
             self.expect(":=")
             return Assign(text, self.parse_expr())
@@ -469,7 +470,7 @@ class _Parser:
         toks = self.toks
         left = len(toks)
         text = toks[-1]
-        if _is_name(text):
+        if is_name(text):
             toks.pop()
             if toks[-1] != "(":
                 return Var(text)

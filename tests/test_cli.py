@@ -79,9 +79,12 @@ def test_run_fuel_exhaustion(add_file, capsys):
     ["check", "--gamma", "x", "--triple", "1,1,0"],
     ["analyze", "--plot-data", "out.tsv"],
     ["run", "--input", "x=11", "--input", "x=111"],
+    ["run", "--input", "1x=3"],
+    ["run", "--input", "\u00b2x=3"],
 ], ids=["negative-fuel", "negative-sweep-fuel", "negative-trials", "negative-step",
         "empty-range", "negative-start", "empty-name", "spaced-name", "keyword-name",
-        "repeated-gamma-name", "gamma-without-tier", "plot-data-without-sweep", "repeated-input-name"])
+        "repeated-gamma-name", "gamma-without-tier", "plot-data-without-sweep", "repeated-input-name",
+        "digit-first-name", "superscript-first-name"])
 def test_bad_numbers_and_names_are_usage_errors(argv, add_file, tmp_path, capsys,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)
