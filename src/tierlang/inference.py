@@ -6,7 +6,8 @@ the two root channels) gets a record, and each typing rule becomes order
 facts between records: a <= b, a == b, a < b, or a pin of one record to an
 exact tier, an upper bound or a lower bound of 1.  `_rules` is the one place
 that turns the typing rules into these facts, and it writes them straight
-into the plain lists of a `_Graph`, with no method call per fact.  `_rules`
+into the plain lists of a `_Graph`, with no method call per fact.  It
+holds the rules alone; the caller's pins are set by `_constraints`.  `_rules`
 also lists every node occurrence in a node table, children before parents,
 with the rule that types it and the records of its tier and its two
 channels; the checker in `tiers` folds that table into a derivation, and
@@ -25,8 +26,9 @@ Every fact is a difference constraint tier[b] >= tier[a] + w with w in
 longest-path fixpoint (CLRS 24.4).  One builder, `_constraints`, checks the
 knobs, fixes the mode, has `_rules` record the facts in a fresh `_Graph`,
 each as one weighted edge in the predecessor list of the record it bounds
-from below, and fixes the tier cap; the default cap, the program size, is
-read off the node table, so typing never walks the tree for it.
+from below, pins the knobs (gamma's variable tiers and the root triple)
+and fixes the tier cap; the default cap, the program size, is read off
+the node table, so typing never walks the tree for it.
 `encode` and `_solve` start from it.
 `_Graph.solve` finds the least tiers in one pass of Tarjan's strongly
 connected components over those lists.  A component closes only after
@@ -289,31 +291,40 @@ def _constraints(
     triple: tuple[int, int, int] | None,
     outer_zero: bool | None,
 ) -> tuple[_Graph, _Records, bool]:
-    """Validate the pins, fix the mode, feed the typing constraints to a
-    fresh graph and fix its tier cap; return the graph, the records and the
-    mode.  The default cap, the program size, is read off the node table:
-    one row per node, one more per assignment for its target, and one for
-    the program node."""
+    """Check the knobs, fix the mode, have `_rules` feed the typing
+    constraints to a fresh graph, pin the knobs in it and fix its tier cap;
+    return the graph, the records and the mode.  A triple is checked first,
+    since it fixes the mode; gamma's names are checked against the records
+    of the variables.  Gamma's pins follow the rules', then the triple's:
+    the root tier's upper bound, the inner channel and the outer channel.
+    The default cap, the program size, is read off the node table: one row
+    per node, one more per assignment for its target, and one for the
+    program node."""
     if t_max is not None and t_max < 0:
         raise ValueError(f"negative tier cap {t_max}")
-    pinned = 0  # the highest pinned tier, which the cap must reach
-    if gamma:
-        known = set(variables_of(program))
-        for name, tier in gamma.items():
-            if name not in known:
-                raise ValueError(f"gamma mentions unknown variable {name!r}")
-            if tier < 0:
-                raise ValueError(f"gamma gives {name!r} negative tier {tier}")
-        pinned = max(gamma.values())
     if triple is not None:
         if len(triple) != 3 or min(triple) < 0:
             raise ValueError(f"bad triple {triple!r}")
-        pinned = max(pinned, *triple)
         outer_zero = triple[2] == 0
     elif outer_zero is None:
         outer_zero = True
     graph = _Graph(0)  # its cap is fixed below, once the table is built
-    records = _rules(program, graph, registry, outer_zero, gamma, triple)
+    records = _rules(program, graph, registry, outer_zero)
+    pinned = 0  # the highest pinned tier, which the cap must reach
+    if gamma:
+        for name, tier in gamma.items():
+            if name not in records.var_records:
+                raise ValueError(f"gamma mentions unknown variable {name!r}")
+            if tier < 0:
+                raise ValueError(f"gamma gives {name!r} negative tier {tier}")
+            graph.pin(records.var_records[name], tier)
+        pinned = max(gamma.values())
+    if triple is not None:
+        t, inner, outer = triple
+        graph.high.append((records.nodes[-1][2], t))
+        graph.pin(records.root_in, inner)
+        graph.pin(records.root_out, outer)
+        pinned = max(pinned, *triple)
     if t_max is None:
         rules = list(map(itemgetter(0), records.nodes))
         t_max = len(rules) + rules.count(RULE_ASSIGN) + 1
@@ -326,17 +337,16 @@ def _rules(
     graph: _Graph,
     registry: Registry | None,
     outer_zero: bool,
-    gamma: dict[str, int] | None,
-    triple: tuple[int, int, int] | None,
 ) -> _Records:
-    """Feed the typing constraints of a program to `graph`; return the
-    records of the variables, the node table and the two root channels.
+    """Feed the typing constraints of a program to `graph` in the mode
+    `outer_zero` picks; return the records of the variables, the node table
+    and the two root channels.
 
     Records are created in preorder; rows are appended children first, so
     the last row is the root command's.  Each fact goes straight into the
     graph's lists: ``a <= b`` appends a to ``pred[b]``, ``a < b`` appends
     ~a, ``a == b`` is both directions of <=, and a pin appends to ``low``
-    (above 0 only) and ``high``."""
+    (above 0 only) and ``high``.  The mode pins the root outer channel."""
     if registry is None:
         registry = DEFAULT_REGISTRY
     pred, low, high = graph.pred, graph.low, graph.high
@@ -446,7 +456,7 @@ def _rules(
         return rec
 
     try:
-        root_rec = cmd(program.body, root_in, root_out, False)
+        cmd(program.body, root_in, root_out, False)
     finally:
         # The two closures reach each other through their cells; emptying
         # the cells frees them without waiting for the cycle collector.
@@ -456,14 +466,6 @@ def _rules(
         high.append((root_out, 0))  # pinned to 0
     else:
         low.append((root_out, 1))  # at least 1
-    if gamma:
-        for name, tier in gamma.items():
-            graph.pin(var_records[name], tier)
-    if triple is not None:
-        t, inner, outer = triple
-        high.append((root_rec, t))
-        graph.pin(root_in, inner)
-        graph.pin(root_out, outer)
     return _Records(var_records, nodes, root_in, root_out)
 
 
@@ -578,11 +580,6 @@ class TierSolution:
     def triple(self) -> tuple[int, int, int]:
         return (self.root_tier, self.root_in, self.root_out)
 
-    @property
-    def outer_zero(self) -> bool:
-        """The mode: only the sealed one pins the root outer channel to 0."""
-        return self.root_out == 0
-
 
 def _solution(tiers: list[int], records: _Records, graph: _Graph) -> TierSolution:
     """Read tiers out per record for what `_rules` returned."""
@@ -671,20 +668,23 @@ class InferenceResult:
     gamma: dict[str, int]
     triple: tuple[int, int, int]
     derivation: object
-    outer_zero: bool
     t_max: int
     clause_count: int
     num_bool_vars: int
 
+    @property
+    def outer_zero(self) -> bool:
+        """The mode: only the sealed one pins the root outer channel to 0."""
+        return self.triple[2] == 0
+
     def to_json(self) -> dict:
-        payload = {
+        return {
             "typable": True,
             "gamma": dict(sorted(self.gamma.items())),
             "triple": list(self.triple),
             "t_max": self.t_max,
             "clauses": self.clause_count,
         }
-        return payload
 
 
 def infer(
@@ -711,8 +711,7 @@ def infer(
     return InferenceResult(
         gamma=solution.var_tiers,
         triple=solution.triple,
-        derivation=derive(solution, solution.triple, registry),
-        outer_zero=solution.outer_zero,
+        derivation=derive(solution, solution.root_tier, registry),
         t_max=graph.cap,
         clause_count=graph.clause_count,
         num_bool_vars=graph.num_bool_vars,

@@ -10,9 +10,9 @@ records, and lift steps raise command premises to the tier of their rule.
 All rule choices are made once, by the constraint generator.  The fold
 keeps the built nodes on a stack, lifts a premise only where its tier is
 below its rule's, and lets the nodes with equal triples share one
-`TypedTriple`.  `Derivation` is a slotted frozen dataclass, and the
-builders fill a new node's slots through their setters rather than
-through the frozen `__init__`, which goes by `object.__setattr__`.  The
+`TypedTriple`.  `Derivation` is a slotted frozen dataclass whose own
+`__init__` fills a new node's slots through their setters rather than
+by `object.__setattr__`, as a frozen dataclass's generated one does.  The
 derivation is then re-validated independently of the solver, by
 structural checks common to all rules and each rule's tier side
 conditions, in a preorder walk over an explicit stack that reads each
@@ -95,7 +95,7 @@ EXPR_RULES = frozenset(_SUBJECT_CLASS) - COMMAND_RULES
 _LOOP_RULES = frozenset({RULE_WHILE, RULE_WHILE_ZERO})
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Derivation:
     """One rule application; children are the premise derivations in order.
     `==` and `hash` walk the tree with a stack, so any depth compares."""
@@ -104,6 +104,14 @@ class Derivation:
     subject: object
     triple: TypedTriple
     children: tuple["Derivation", ...] = ()
+
+    def __init__(self, rule: str, subject: object, triple: TypedTriple,
+                 children: tuple["Derivation", ...] = ()) -> None:
+        # The slots' own setters take half the time of `object.__setattr__`.
+        _set_rule(self, rule)
+        _set_subject(self, subject)
+        _set_triple(self, triple)
+        _set_children(self, children)
 
     def walk(self) -> Iterator["Derivation"]:
         """Every node in preorder."""
@@ -138,27 +146,9 @@ class Derivation:
         }
 
 
-def _derivation_maker():
-    """A constructor of derivation nodes for the builders.  It fills the
-    slots through their own setters: the frozen class's `__init__` goes
-    through `object.__setattr__`, which takes twice as long."""
-    new = object.__new__
-    set_rule, set_subject, set_triple, set_children = (
-        Derivation.__dict__[f.name].__set__ for f in fields(Derivation))
-
-    def make(rule: str, subject: object, triple: TypedTriple,
-             children: tuple) -> Derivation:
-        d = new(Derivation)
-        set_rule(d, rule)
-        set_subject(d, subject)
-        set_triple(d, triple)
-        set_children(d, children)
-        return d
-
-    return make
-
-
-_make_derivation = _derivation_maker()
+# The setters of `Derivation`'s slots, which exist once the class is made.
+_set_rule, _set_subject, _set_triple, _set_children = (
+    Derivation.__dict__[f.name].__set__ for f in fields(Derivation))
 
 
 def admissible_op_type(
@@ -199,19 +189,21 @@ def check(
     if solved is None:
         return None
     solution = _solution(*solved)
-    return derive(solution, solution.triple if triple is None else triple, registry)
+    tier = solution.root_tier if triple is None else triple[0]
+    return derive(solution, tier, registry)
 
 
 def derive(
     solution: TierSolution,
-    triple: tuple[int, int, int],
+    tier: int,
     registry: Registry | None = None,
 ) -> Derivation:
-    """Build the derivation at `triple` from solved tiers and validate it.
+    """Build the derivation at root tier `tier` from solved tiers and
+    validate it.
 
-    `triple` is the solution's own triple, or one with a higher root tier,
-    which lift steps reach."""
-    derivation = build_derivation(solution, TypedTriple(*triple))
+    `tier` is the solution's own root tier, or a higher one, which lift
+    steps reach."""
+    derivation = build_derivation(solution, tier)
     verify_derivation(derivation, solution.var_tiers, registry)
     return derivation
 
@@ -221,23 +213,23 @@ def _lift(d: Derivation, tier: int) -> Derivation:
     t, inner, outer = d.triple
     while t < tier:
         t += 1
-        d = _make_derivation(RULE_LIFT, d.subject, TypedTriple(t, inner, outer), (d,))
+        d = Derivation(RULE_LIFT, d.subject, TypedTriple(t, inner, outer), (d,))
     if t != tier:
         raise AssertionError(f"cannot lower {t} to {tier} at {label(d.subject)}")
     return d
 
 
-def build_derivation(solution: TierSolution, triple: TypedTriple) -> Derivation:
+def build_derivation(solution: TierSolution, root_tier: int) -> Derivation:
     """Assemble a derivation tree by folding the solution's node table.
 
     Each row becomes one rule application whose triple is the solved tiers
     of its records (tier, inner channel, outer channel); its premises are
     the last rows built, and command premises are lifted to its tier.  The
-    root is lifted to the tier of `triple`.
+    root is lifted to `root_tier`.
     """
     tiers = solution.tiers
     stack: list[Derivation] = []
-    push, make = stack.append, _make_derivation
+    push, make = stack.append, Derivation
     triples: dict[tuple, TypedTriple] = {}  # nodes with equal triples share one
     for rule, subject, rec, in_rec, out_rec, premises in solution.nodes:
         tier = tiers[rec]
@@ -256,7 +248,7 @@ def build_derivation(solution: TierSolution, triple: TypedTriple) -> Derivation:
             triple_here = triples[key] = TypedTriple._make(key)
         push(make(rule, subject, triple_here, kids))
     (root,) = stack
-    return _lift(root, triple.tier)
+    return _lift(root, root_tier)
 
 
 class DerivationError(AssertionError):
@@ -332,6 +324,8 @@ def verify_derivation(
         if rule == RULE_OP:
             spec = specs.get(subject.op)
             if spec is None:
+                if subject.op not in registry:
+                    fail(d, f"unknown operator {subject.op!r}")
                 spec = specs[subject.op] = registry.lookup(subject.op)
             arg_tiers = tuple(map(_TIER_OF, kids))
             if not admissible_op_type(spec, arg_tiers, t, inner):

@@ -11,6 +11,7 @@ import pytest
 import tierlang
 from tierlang.cli import MAX_TIER, main
 from tierlang.inference import ClauseSet, solve_2sat
+from tierlang.semantics import TableOracle
 from tierlang.syntax import MAX_WORD, parse
 
 from . import fuzz_cli
@@ -81,10 +82,13 @@ def test_run_fuel_exhaustion(add_file, capsys):
     ["run", "--input", "x=11", "--input", "x=111"],
     ["run", "--input", "1x=3"],
     ["run", "--input", "\u00b2x=3"],
+    ["run", "--input", "x=abc"],
+    ["analyze", "--sweep", "5"],
 ], ids=["negative-fuel", "negative-sweep-fuel", "negative-trials", "negative-step",
         "empty-range", "negative-start", "empty-name", "spaced-name", "keyword-name",
         "repeated-gamma-name", "gamma-without-tier", "plot-data-without-sweep", "repeated-input-name",
-        "digit-first-name", "superscript-first-name"])
+        "digit-first-name", "superscript-first-name", "input-not-a-word",
+        "sweep-not-a-range"])
 def test_bad_numbers_and_names_are_usage_errors(argv, add_file, tmp_path, capsys,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -299,6 +303,28 @@ def test_malformed_oracle_spec_is_a_usage_error(spec, add_file, tmp_path, capsys
     oracle.write_text(spec)
     assert main(["run", add_file, "--input", "x=1", "--oracle", str(oracle)]) == 2
     _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("entries, default, spec, message", [
+    ((), ("constant", "2"), '{"default": {"kind": "constant", "value": "2"}}',
+     "constant default must be a word, got '2'"),
+    ((), ("echo-length", "1"), '{"default": {"kind": "echo-length", "value": "1"}}',
+     "echo-length default takes no value"),
+    ((), ("frob", None), '{"default": {"kind": "frob"}}', "unknown default kind 'frob'"),
+    ((("0", "2"),), ("constant", "1"), '{"entries": [{"query": "0", "answer": "2"}]}',
+     "table entry ('0', '2') is not a word pair"),
+], ids=["non-word-constant", "echo-length-value", "unknown-kind", "non-word-entry"])
+def test_bad_oracle_tables_are_rejected(entries, default, spec, message, add_file,
+                                        tmp_path, capsys):
+    with pytest.raises(ValueError) as error:
+        TableOracle(entries, default)
+    assert str(error.value) == message
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(spec)
+    assert main(["run", add_file, "--input", "x=1", "--oracle", str(oracle)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 CHAIN_3000 = ";\n".join(["x := suc1(x)"] * 3000) + "\nreturn x\n"

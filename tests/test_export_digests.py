@@ -9,6 +9,14 @@ environment with every tier moved up by one, modulo 3, which makes the
 audit report violations.  An entry that does not type has None for the
 last two.
 
+`PINNED_GOLDEN` pins the DIMACS text of `encode` with its knobs pinned,
+in the sealed and in the positive mode: at the inferred environment and
+triple when the entry types, else with every variable at tier 1 and the
+triple (1, 1, 0).  The triple's outer component picks the mode: 0 for the
+sealed one, the inferred outer channel or 1, whichever is higher, for the
+positive one.  The pins' clauses come last, in a fixed order, so these
+digests pin that order too.
+
 `ANALYZE_GOLDEN` pins the JSON of the runtime reports the same way: the
 sweep report at scales 1 to 12, with every variable scaled and a table
 oracle drawn from seed 0 for a program that calls one, and, when the entry
@@ -160,6 +168,57 @@ ANALYZE_GOLDEN = {
     ),
 }
 
+PINNED_GOLDEN = {
+    "skip": (
+        "45d417ce92cfdee00e554da5e20812ef17c1c57e1adf35d86d2418f5ce16aa18",
+        "b378d2dfb8657918d1aa8c4e0acb19c10f1c9a09a2340fade39bc6985e293f79",
+    ),
+    "add": (
+        "fbf56d46ca6708d1ca1fa18fee1197f0e61ba4b38af6fc8961acbe683da337d0",
+        "7235a19f0a6dc3529f5106fb90467152926ca65fc0f87e7dda7ff1087c504e68",
+    ),
+    "exp_blowup": (
+        "8584377f56d97ed00d32c22179f339f137d7afdff8ef5f626f6f8dbdd76c6329",
+        "3d11c7b8cba949b28f966d4cc40ea89405292fc0ba4a6096276b5dc3dfad95f6",
+    ),
+    "three_tiers": (
+        "f2789be37127cf1a0607e1c2c60327338706977b4318e9f64ca55f1abc740c79",
+        "45d0b90313d65489608f12ea0601dc22a02134a1fe341cb19365e1ea8645e28c",
+    ),
+    "three_tiers_low": (
+        "b00c61e5f6c4db30cc78aa714c78a992181d3f704eb2903a86939a4890dab023",
+        "3d7eddade33fc296a1db290d3ed7b5502d52bc75f4b05cce1b893a1fbf246348",
+    ),
+    "oracle_search": (
+        "eceb6be9b9018e4a015e5d4cfcbd0fd4af7e282fac3b5757ba1a1f80eedb370e",
+        "9c59ccf8c3a05cf0d225f4f80f623579f1c4b67fb2f7e15ee74f3f69a8172e11",
+    ),
+    "oracle_search_swapped": (
+        "ce113b7737362127aa15a9072a3e6a963ee63cc659812085f29870befdab2f71",
+        "1dd2507c3376f0d0897427c820a5f21cbf506fe70e0abc397ee9f7446c050ed2",
+    ),
+    "oracle_increasing": (
+        "b9d6da82e5d56a00eb5a66dde1884c6d0a8ab50048355f89b8d5647158079c67",
+        "a74001f3c0ecdd8d81b8b159424e7a1752bb80d667395feec30802c32dc5017c",
+    ),
+    "oracle_scan_tally": (
+        "61c442f886a4ac6457dd66bb6fa73365bdfe98998fbeef8eb6d2afcb9793dd08",
+        "fdf94f0d13840c6c49ed8e82e0491fa950dae37779117526029990744dd0a086",
+    ),
+    "iterate": (
+        "31b7bf2125f21a50262c7e57a956dd81cf7013f450aadeacac4b6ab8e2d364ae",
+        "e1fd7d8022352ddc27dab4c39cbfa975e0cd5c77452c884cf5f0b73dbacd789f",
+    ),
+    "shared_bound": (
+        "adafd7c20329903fedece5f071896406f24e3e86be6957ed062ad99a393c0e43",
+        "9cbf8bc58c9502c08856a4c520c2019165c6bbe13fe2f4e7e2a9f9d6d106efd5",
+    ),
+    "nested_copy": (
+        "c592c97583d17c90ff1aea1f84294a2a0c1dbe82adba15875dadeebf63fa5ff9",
+        "bcb697d2b37cd991c1eda4c27e41eccb66c37fcd6ebdf5dd31a824a5f4f604cc",
+    ),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -186,6 +245,28 @@ def test_exports_match_their_golden_digests(entry):
 
 def test_every_corpus_entry_has_golden_digests():
     assert sorted(GOLDEN) == sorted(entry.name for entry in load_corpus())
+
+
+def pinned_digests(entry) -> tuple:
+    p = entry.program()
+    result = infer(p, t_max=entry.t_max)
+    if result is None:
+        gamma, (tier, inner, outer) = dict.fromkeys(variables_of(p), 1), (1, 1, 0)
+    else:
+        gamma, (tier, inner, outer) = result.gamma, result.triple
+    return tuple(
+        _sha(to_dimacs(encode(p, t_max=entry.t_max, gamma=gamma,
+                              triple=(tier, inner, mode_outer))))
+        for mode_outer in (0, max(outer, 1)))
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda entry: entry.name)
+def test_pinned_encodes_match_their_golden_digests(entry):
+    assert pinned_digests(entry) == PINNED_GOLDEN[entry.name]
+
+
+def test_every_corpus_entry_has_pinned_digests():
+    assert sorted(PINNED_GOLDEN) == sorted(entry.name for entry in load_corpus())
 
 
 def analyze_digests(entry) -> tuple:

@@ -5,7 +5,9 @@ An import inside a function hides a layering problem (usually an import
 cycle) and costs a lookup on every call.  The one exception is listed
 with its reason.  A module's top-level imports name only modules earlier
 in `LAYERS`, so a new import that would close a cycle fails here rather
-than being moved into a function.
+than being moved into a function.  The underscore names one module takes
+from another are listed too, each with its reason, so a new leak across a
+module boundary fails here.
 """
 
 import ast
@@ -84,3 +86,44 @@ def test_modules_import_only_earlier_layers():
         if LAYERS.index(imported) >= LAYERS.index(_layer(path))
     }
     assert found == set()
+
+
+# (module, imported from, name) of each private name a package module takes
+# from a sibling, with its reason.
+PRIVATE = {
+    ("tiers", "syntax", "_PARTS"):
+        "verify_derivation and the audit read a subject's parts from the one"
+        " shape table",
+    ("tiers", "syntax", "_same_tree"):
+        "Derivation.__eq__ compares subjects with the memo the trees' own =="
+        " uses, so equal trees compare in linear time",
+    ("tiers", "inference", "_MODES"):
+        "check tries the modes in inference's order when no triple fixes one",
+    ("tiers", "inference", "_solve"): "check goes through the one mode loop",
+    ("tiers", "inference", "_solution"):
+        "check reads the solved tiers out as least_tiers does",
+    ("semantics", "operators", "_BUILTINS"):
+        "the compiler writes the builtins' code inline",
+    ("semantics", "operators", "_Constant"):
+        "the compiler writes a constant's word inline",
+}
+
+
+def _private_imports(path: Path):
+    """(module, imported module, name) of each underscore name ``path``
+    imports from a sibling module, at any depth of its code."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    module = (node.module or alias.name).split(".")[0]
+                    yield _layer(path), module, alias.name
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {
+        site
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for site in _private_imports(path)
+    }
+    assert found == set(PRIVATE)

@@ -187,6 +187,31 @@ def test_negative_tier_cap_is_rejected():
         typable(p, t_max=-1)
 
 
+def _check(p, gamma=None, triple=None, **knobs):
+    return check(p, gamma or {}, triple, **knobs)
+
+
+# The three entry points that take every knob, as keyword calls.
+KNOB_CALLS = {"check": _check, "least_tiers": least_tiers, "encode": encode}
+
+
+@pytest.mark.parametrize("call", KNOB_CALLS)
+@pytest.mark.parametrize("knobs, message", [
+    ({"triple": (1, -1, 0)}, "bad triple (1, -1, 0)"),
+    ({"triple": (1, 1)}, "bad triple (1, 1)"),
+    ({"gamma": {"q": 1}}, "gamma mentions unknown variable 'q'"),
+    ({"gamma": {"x": 1, "y": -2}}, "gamma gives 'y' negative tier -2"),
+    ({"t_max": -1}, "negative tier cap -1"),
+    # The triple fixes the mode, so it is checked before gamma's names.
+    ({"gamma": {"q": 1}, "triple": (1, 1, -1)}, "bad triple (1, 1, -1)"),
+], ids=["negative-triple-tier", "two-components", "unknown-gamma-name",
+        "negative-gamma-tier", "negative-cap", "bad-triple-before-gamma"])
+def test_bad_knobs_are_rejected(call, knobs, message):
+    with pytest.raises(ValueError) as error:
+        KNOB_CALLS[call](parse(ADD_SRC), **knobs)
+    assert str(error.value) == message
+
+
 def test_decode_reports_node_and_var_tiers():
     named = clause_pipeline(parse(ADD_SRC))
     assert (named["var x"], named["var y"]) == (1, 0)

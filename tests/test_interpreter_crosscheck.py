@@ -18,7 +18,8 @@ from tierlang.operators import (
     DEFAULT_REGISTRY, Neutral, OperatorSpec, Registry, builtin_registry,
 )
 from tierlang.semantics import (
-    FuelExhausted, OracleRequired, PaddedOracle, StuckGuard, TableOracle, run_program,
+    FuelExhausted, Oracle, OracleRequired, PaddedOracle, StuckGuard, TableOracle,
+    run_program,
 )
 from tierlang.syntax import (
     Assign, OpApp, OracleCall, Program, Seq, Var, While, has_oracle_call,
@@ -133,6 +134,17 @@ RAISING = builtin_registry().extended(
 def test_raising_steps_agree_at_every_fuel(src, error):
     p = parse(src, RAISING)
     assert _assert_agree(p, {"x": "111", "y": "1"}, None, RAISING)[0] is error
+
+
+class _NonWordOracle(Oracle):
+    def answer(self, query: str) -> str:
+        return "2"
+
+
+def test_a_non_word_answer_fails_alike_at_every_fuel():
+    p = parse("x := suc1(x) ; y := phi(x | x) return y")
+    assert _assert_agree(p, {"x": "1"}, _NonWordOracle()) == (
+        ValueError, "oracle answered a non-word: '2'")
 
 
 def test_names_that_look_like_code_stay_names():

@@ -107,7 +107,7 @@ PIPELINE = {
     "parse": (parse, str),
     "_constraints": (lambda p: _constraints(p, None, None, None, None, None), parse),
     "least_tiers": (both_modes, parse),
-    "derive": (lambda solution: derive(solution, solution.triple), solved),
+    "derive": (lambda solution: derive(solution, solution.root_tier), solved),
     "verify_derivation": (lambda pair: verify_derivation(*pair), inferred),
     "infer": (infer, parse),
     "audit_derivation": (lambda pair: audit_derivation(*pair), inferred),

@@ -12,6 +12,7 @@ from tierlang.operators import (
     OperatorSpec,
     Positive,
     UnknownOperator,
+    _Constant,
     builtin_registry,
     is_subword,
     random_word,
@@ -109,6 +110,18 @@ def test_extended_registry_keeps_builtins(reg):
     assert "head" not in reg
 
 
+def test_registry_rejects_a_duplicate_name_and_a_negative_arity(reg):
+    with pytest.raises(ValueError, match="duplicate operator 'pred'"):
+        reg.extended(OperatorSpec("pred", 1, Neutral(), lambda w: w))
+    with pytest.raises(ValueError, match="negative arity for 'none'"):
+        reg.extended(OperatorSpec("none", -1, Neutral(), lambda: ""))
+
+
+def test_constants_hold_words_only():
+    with pytest.raises(ValueError, match="constant '2' is not a word over 0/1"):
+        _Constant("2")
+
+
 def test_builtin_registry_is_a_fresh_copy():
     first, second = builtin_registry(), builtin_registry()
     assert first is not second
@@ -130,6 +143,16 @@ def test_validation_flags_a_liar():
     report = validate_classification(liar, trials=50)
     assert not report.ok
     assert report.counterexample is not None
+
+
+@pytest.mark.parametrize("spec, reason", [
+    (OperatorSpec("two", 1, Neutral(), lambda w: "2"), "output is not a word over 0/1"),
+    (OperatorSpec("wide", 1, Neutral(predicate=True), lambda w: "11"),
+     "declared predicate left {0,1}"),
+], ids=["non-word", "wide-predicate"])
+def test_validation_flags_a_non_word_and_a_wide_predicate(spec, reason):
+    report = validate_classification(spec, trials=5)
+    assert (report.ok, report.trials, report.reason) == (False, 1, reason)
 
 
 def test_validation_flags_wrong_slack():

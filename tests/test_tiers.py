@@ -12,7 +12,7 @@ from hypothesis import given
 
 from tierlang.bruteforce import typing_table
 from tierlang.inference import infer, typable
-from tierlang.operators import Positive, builtin_registry
+from tierlang.operators import Neutral, OperatorSpec, Positive, builtin_registry
 from tierlang.semantics import OracleRequired, run_program
 from tierlang.syntax import (
     Assign,
@@ -154,6 +154,15 @@ X0 = Var("x")
 def test_verify_rejects_structural_forgeries(forge):
     with pytest.raises(DerivationError):
         verify_derivation(forge(), {"x": 0, "y": 0})
+
+
+def test_verify_reports_an_operator_its_registry_lacks():
+    cut = OperatorSpec("cut", 1, Neutral(), lambda w: w[:1])
+    registry = builtin_registry().extended(cut)
+    result = infer(parse("x := cut(x) return x", registry), registry=registry)
+    verify_derivation(result.derivation, result.gamma, registry)
+    with pytest.raises(DerivationError, match="unknown operator 'cut'"):
+        verify_derivation(result.derivation, result.gamma)
 
 
 def test_audits_pass_on_corpus_trees(corpus):
