@@ -39,22 +39,44 @@ of any length compiles and runs, and a run needs one Python frame per
 registry and kept on the program; it keeps all run state in its frame,
 so it is reentrant and threads may share it.
 
-Words are validated where they enter: input bindings (`Store`), table
-rows (`TableOracle`), oracle answers, and results of operators that are
-not defined in `operators.py`.  Builtins and word-literal constants return
-words by construction and run unchecked.
+Each variable has one of two word forms for the whole run.  A variable
+that some assignment updates by a chain of builtin pred, suc0 and suc1
+around itself (``x := suc1(pred(x))``) is held in place: its local keeps
+the word reversed in a bytearray, whose end is the word's front, and
+such an assignment becomes ``del v[-1:]`` and ``v.append(...)``, which
+cost the same at any word length.  Reads of its length alone (gt0, geq,
+an oracle bound, the length test of lmin and maxlen) use the bytearray
+as it is.  Any other read converts it to a str: eq, after comparing
+lengths, a word guard, a custom operator's argument, a store into another
+variable and the side that lmin or maxlen selects.  A store into it from
+anything but its own chain makes a bytearray of its own, unless an lmin
+or maxlen keeps the target itself, so no two locals share one.  Inputs
+convert when the run starts and flagged variables when it ends, so the
+store, the result and the query log hold only str.  Every other variable
+is a str throughout.  An oracle query is written in line, after its fuel
+check: the check for a missing oracle, truncate-pad (from the last
+|bound| cells of a data word held in place, without converting the
+rest), the call to the oracle, the check that its answer is a word and
+the record of the query, so a query makes no Python call but the
+oracle's own.
+
+Words are validated where they enter: input bindings (`Store`, in one
+loop with no call per binding), table rows (`TableOracle`), oracle
+answers, and results of operators that are not defined in
+`operators.py`.  Builtins and word-literal constants return words by
+construction and run unchecked.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .operators import _BUILTINS, DEFAULT_REGISTRY, Registry, _Constant, is_word
 from .syntax import (
-    Assign, Cmd, Expr, If, OpApp, OracleCall, Program, Seq, Skip, Var, While,
+    Assign, Cmd, Expr, If, OpApp, OracleCall, Program, Seq, Skip, Var, While, preorder,
 )
 
 
@@ -143,7 +165,11 @@ class TableOracle(Oracle):
 
     def answer(self, query: str) -> str:
         a = self._index.get(query)
-        return self.default_answer(query) if a is None else a
+        if a is None:  # the default rule, in this frame: one call per query
+            kind, a = self.default
+            if kind != "constant":
+                a = "1" * len(query)
+        return a
 
     @classmethod
     def from_json(cls, data) -> "TableOracle":
@@ -212,8 +238,8 @@ class Store:
 
     def __init__(self, bindings: dict[str, str] | None = None):
         data = dict(bindings or {})
-        for x, w in data.items():
-            if not is_word(w):
+        for x, w in data.items():  # `is_word`, in this frame
+            if not isinstance(w, str) or w.strip("01"):
                 raise ValueError(f"binding {x}={w!r} is not a word over 0/1")
         self._data = data
 
@@ -224,7 +250,7 @@ class Store:
         self._data[name] = value
 
     def size(self) -> int:
-        return sum(len(w) for w in self._data.values())
+        return sum(map(len, self._data.values()))
 
     def bindings(self) -> dict[str, str]:
         return dict(self._data)
@@ -247,11 +273,22 @@ class ExecutionTrace:
         return max(self.initial_store_size, longest)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RunResult:
     value: str
     store: Store
     trace: ExecutionTrace
+
+    def __init__(self, value: str, store: Store, trace: ExecutionTrace) -> None:
+        # The slots' own setters take half the time of `object.__setattr__`.
+        _set_value(self, value)
+        _set_store(self, store)
+        _set_trace(self, trace)
+
+
+# The setters of `RunResult`'s slots, which exist once the class is made.
+_set_value, _set_store, _set_trace = (
+    RunResult.__dict__[f.name].__set__ for f in fields(RunResult))
 
 
 # --- Evaluation ----------------------------------------------------------
@@ -270,32 +307,29 @@ _LEVELS = 16
 
 # The builtins as Python expressions over their argument temporaries, keyed
 # by the builtin function itself, so an operator is inlined only when the
-# registry resolves it to a builtin, whatever its name.  A predicate is
-# also written as the condition under which it gives 1: a guard made of
-# one needs no word and is never stuck.  Any other guard is a word, checked
-# for 0 or 1 once, in `_Emitter.guard`.
-_CONDITIONS = {"eq": "{0} == {1}", "gt0": "{0}", "geq": "len({0}) >= len({1})"}
+# registry resolves it to a builtin, whatever its name.  ``{i}`` reads
+# argument i as it is, for its length or its truth; ``{si}`` is its word,
+# in the form `_Emitter.value` gives; ``{same}`` is empty, or compares the
+# lengths of the arguments when one is held in place, so that `eq` converts
+# only words of one length.  A predicate is also written as the condition
+# under which it gives 1: a guard made of one needs no word and is never
+# stuck.  Any other guard is a word, checked for 0 or 1 once, in
+# `_Emitter.guard`.
+_CONDITIONS = {"eq": "{same}{s0} == {s1}", "gt0": "{0}", "geq": "len({0}) >= len({1})"}
 _TEMPLATES = {
-    "pred": "{0}[1:]", "suc0": "'0' + {0}", "suc1": "'1' + {0}",
-    "lmin": "{0} if len({0}) < len({1}) else {1}",
-    "maxlen": "{0} if len({0}) > len({1}) else {1}",
+    "pred": "{s0}[1:]", "suc0": "'0' + {s0}", "suc1": "'1' + {s0}",
+    "lmin": "{s0} if len({0}) < len({1}) else {s1}",
+    "maxlen": "{s0} if len({0}) > len({1}) else {s1}",
     **{name: f"'1' if {test} else '0'" for name, test in _CONDITIONS.items()},
 }
 _INLINE = {s.fn: _TEMPLATES[s.name] for s in _BUILTINS if s.name in _TEMPLATES}
 _TESTS = {s.fn: _CONDITIONS[s.name] for s in _BUILTINS if s.name in _CONDITIONS}
-
-
-def _ask(answer_of: Callable[[str], str] | None, record: Callable, name: str,
-         v: str, bound: str) -> str:
-    """One oracle query, made once its step is charged and checked."""
-    if answer_of is None:
-        raise OracleRequired(name)
-    query = truncate_pad(v, bound)
-    answer = answer_of(query)
-    if not is_word(answer):
-        raise ValueError(f"oracle answered a non-word: {answer!r}")
-    record((query, answer))
-    return answer
+# The builtins that select one of their arguments.
+_SELECTS = {s.fn for s in _BUILTINS if s.name in ("lmin", "maxlen")}
+# The builtins a variable held in place applies to itself, as statements
+# on its reversed word: the word's front is the bytearray's end.
+_STEPS = {"pred": "del {0}[-1:]", "suc0": "{0}.append(48)", "suc1": "{0}.append(49)"}
+_IN_PLACE = {s.fn: _STEPS[s.name] for s in _BUILTINS if s.name in _STEPS}
 
 
 class _Emitter:
@@ -308,10 +342,10 @@ class _Emitter:
     in ``pending``.
     """
 
-    def __init__(self, registry: Registry):
+    def __init__(self, registry: Registry, body: Cmd):
         self.registry = registry
         self.namespace = {"FuelExhausted": FuelExhausted, "StuckGuard": StuckGuard,
-                          "ask": _ask}
+                          "OracleRequired": OracleRequired}
         self.names: dict = {}  # constant -> its name in the namespace
         self.fns: dict = {}  # (operator, arity) -> its resolved function
         self.slots: dict[str, int] = {}  # variable -> the number of its local
@@ -320,6 +354,11 @@ class _Emitter:
         self.slots_named: dict[int, None] = {}  # the slots this function names
         self.indent = self.level = self.pending = 0
         self.test = self.word = ""
+        # The locals of the variables held in place: those that some
+        # assignment updates by a chain of builtins around themselves.
+        self.flipped = {f"v{self.slots.setdefault(n.target, len(self.slots))}"
+                        for n in preorder(body)
+                        if isinstance(n, Assign) and self.own_chain(n)}
 
     def const(self, value) -> str:
         """The generated name that binds ``value`` in the namespace, so no
@@ -352,6 +391,42 @@ class _Emitter:
         self.charge()
         self.line("if s > L: raise FuelExhausted(L)")
 
+    def value(self, word: str, into: str | None = None) -> str:
+        """An expression for the word that ``word`` names, in the form of
+        ``into``: a str, or, when ``into`` is a local held in place, a
+        bytearray of its own, which is ``into`` itself when it is ``word``."""
+        if into not in self.flipped:
+            return f"{word}[::-1].decode()" if word in self.flipped else word
+        if word == into:
+            return word
+        if word in self.flipped:
+            return f"bytearray({word})"
+        return f"bytearray({word}[::-1], 'ascii')"
+
+    def fill(self, template: str, words: list[str], into: str | None = None) -> str:
+        """``template`` over the argument names ``words``, its words in the
+        form of ``into`` (see `_TEMPLATES`)."""
+        same = ""
+        if self.flipped.intersection(words):
+            same = " == ".join(f"len({w})" for w in words) + " and "
+        return template.format(*words, same=same, **{
+            f"s{i}": self.value(w, into) for i, w in enumerate(words)})
+
+    def own_chain(self, c: Assign) -> list[str] | None:
+        """The templates of the statements that apply ``c`` to its target in
+        place, innermost first, when its value is a chain of builtin pred,
+        suc0 and suc1 around the target itself; else None."""
+        steps, e = [], c.value
+        while isinstance(e, OpApp) and len(e.args) == 1:
+            step = _IN_PLACE.get(self.resolve(e.op, 1))
+            if step is None:
+                return None
+            steps.append(step)
+            e = e.args[0]
+        if steps and isinstance(e, Var) and e.name == c.target:
+            return steps[::-1]
+        return None
+
     def resolve(self, op: str, n: int) -> Callable[..., str]:
         key = op, n
         fn = self.fns.get(key)
@@ -369,7 +444,10 @@ class _Emitter:
         """Evaluate ``e`` and leave in ``word`` the name that holds its word:
         the local of a variable or the name of a constant, read in place,
         or else ``into``, or ``t{k}`` when that is None.  The arguments of
-        ``e`` go to ``t{k}``, ``t{k+1}``, ..., so nested calls never appear."""
+        ``e`` go to ``t{k}``, ``t{k+1}``, ..., so nested calls never appear.
+        A local held in place is an ``into`` only to lmin and maxlen, which
+        may keep it; any other node makes a str in ``t{k}`` first."""
+        out = f"t{k}" if into is None or into in self.flipped else into
         if isinstance(e, Var):
             self.word = f"v{self.local(e.name)}"
             self.pending += 1
@@ -380,22 +458,32 @@ class _Emitter:
                 args.append(self.word)
             self.pending += 1
             fn = self.resolve(e.op, len(e.args))
-            self.word = into or f"t{k}"
+            self.word = into if into and fn in _SELECTS else out
             if type(fn) is _Constant:
                 self.word = self.const(fn.word)
             elif fn in _INLINE:  # total on words: its tick waits
-                self.line(f"{self.word} = " + _INLINE[fn].format(*args))
+                self.line(f"{self.word} = " + self.fill(_INLINE[fn], args, self.word))
             else:
                 self.check()
-                self.line(f"{self.word} = {self.const(fn)}({', '.join(args)})")
+                args = ", ".join(map(self.value, args))
+                self.line(f"{self.word} = {self.const(fn)}({args})")
         elif isinstance(e, OracleCall):
+            # The query is truncate-pad, in line: the first |bound| symbols
+            # of the data, which a word held in place keeps in its last
+            # cells, then 1, then 0 up to |bound| + 1 symbols.
             yield self.expr(e.data, k)
             data = self.word
             yield self.expr(e.bound, k + 1)
             self.pending += 1
             self.check()
-            bound, self.word = self.word, into or f"t{k}"
-            self.line(f"{self.word} = ask(ans, rec, {self.const(e.name)}, {data}, {bound})")
+            query, n, self.word = f"t{k + 1}", f"len({self.word})", out
+            kept = f"{data}[:~{n}:-1].decode()" if data in self.flipped else f"{data}[:{n}]"
+            self.line(f"if ans is None: raise OracleRequired({self.const(e.name)})")
+            self.line(f"{query} = ({kept} + '1').ljust({n} + 1, '0')")
+            self.line(f"{out} = ans({query})")
+            self.line(f"if not isinstance({out}, str) or {out}.strip('01'):")
+            self.line(f" raise ValueError(f'oracle answered a non-word: {{{out}!r}}')")
+            self.line(f"rec(({query}, {out}))")
         else:
             raise TypeError(f"not an expression: {e!r}")
 
@@ -404,10 +492,17 @@ class _Emitter:
             self.pending += 1
         elif isinstance(c, Assign):
             slot = self.local(c.target)
-            yield self.expr(c.value, 0, f"v{slot}")
-            self.pending += 1
-            if self.word != f"v{slot}":
-                self.line(f"v{slot} = {self.word}")
+            v = f"v{slot}"
+            steps = self.own_chain(c) if v in self.flipped else None
+            if steps:  # total on words: its ticks wait
+                self.pending += len(steps) + 2
+                for step in steps:
+                    self.line(step.format(v))
+            else:
+                yield self.expr(c.value, 0, v)
+                self.pending += 1
+                if self.word != v:
+                    self.line(f"{v} = {self.value(self.word, v)}")
             self.line(f"a{slot} = True")
         elif isinstance(c, Seq):
             # A right-nested chain's seq rules all apply after its last
@@ -443,10 +538,13 @@ class _Emitter:
                 yield self.expr(arg, i)
                 args.append(self.word)
             self.pending += 1
-            self.test = _TESTS[fn].format(*args)
+            self.test = self.fill(_TESTS[fn], args)
         else:
             yield self.expr(e, 0)
             word, before = self.word, self.pending
+            if word in self.flipped:
+                self.line(f"t0 = {self.value(word)}")
+                word = "t0"
             self.line(f"if {word} != '1' and {word} != '0':")
             self.indent += 1
             self.check()
@@ -504,10 +602,14 @@ class _Emitter:
         named = self.slots_named
         state = "".join(f", v{i}, a{i}" for i in named)
         if outer[0] is None:  # the top function, which names every variable
-            var = [(i, self.const(v)) for v, i in self.slots.items()]
-            head = [f"def {name}(d, s, L, ans, rec):", " get = d.get",
-                    *(f" v{i} = get({c}, ''); a{i} = False" for i, c in var)]
-            tail = [*(f" if a{i}: d[{c}] = v{i}" for i, c in var), " return s"]
+            head = [f"def {name}(d, s, L, ans, rec):", " get = d.get"]
+            tail = []
+            for var, i in self.slots.items():
+                v, c = f"v{i}", self.const(var)
+                read = f"get({c}, '')"
+                head.append(f" {v} = {self.value(read, v)}; a{i} = False")
+                tail.append(f" if a{i}: d[{c}] = {self.value(v)}")
+            tail.append(" return s")
         else:
             head = [f"def {name}(s, L, ans, rec{state}):"]
             tail = [f" return s{state}"]
@@ -538,7 +640,7 @@ def _compile(p: Program, registry: Registry) -> Callable[..., int]:
     (an unknown operator, a wrong arity, a missing oracle) are raised when
     that node is evaluated, never at compile time.
     """
-    emitter = _Emitter(registry)
+    emitter = _Emitter(registry, p.body)
     stack = [emitter.function(p.body)]
     while stack:
         part = next(stack[-1], None)
@@ -573,8 +675,8 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
         raise ValueError(f"negative fuel {fuel}")
     if registry is None:
         registry = DEFAULT_REGISTRY
-    store = Store(inputs or {})
-    trace = ExecutionTrace(initial_store_size=store.size())
+    store = Store(inputs)
+    size = store.size()  # of the inputs alone, taken before the run
     # The function lives outside the dataclass fields, so `==`, `hash`,
     # `repr` and the exports never see it.  It is not keyed by the
     # program, since hashing a program walks its whole tree.
@@ -582,10 +684,11 @@ def run_program(p: Program, inputs: dict[str, str] | None = None,
     if compiled is None or compiled[0] is not registry:
         compiled = p.__dict__[_COMPILED] = (registry, _compile(p, registry))
     limit = _UNLIMITED if fuel is None else fuel
+    queries: list[tuple[str, str]] = []
     steps = compiled[1](store._data, 0, limit,
                         None if oracle is None else oracle.answer,
-                        trace.queries.append) + 1  # the program rule
+                        queries.append) + 1  # the program rule
     if steps > limit:
         raise FuelExhausted(fuel)
-    trace.steps = steps
-    return RunResult(store.get(p.return_var), store, trace)
+    trace = ExecutionTrace(steps=steps, initial_store_size=size, queries=queries)
+    return RunResult(store._data.get(p.return_var, ""), store, trace)

@@ -184,3 +184,80 @@ def test_a_custom_pred_is_called_not_inlined():
     assert _outcome(run_program, p, inputs, None, None, registry) == expect
     assert expect[0] == "1110" and len(calls) == 4
     assert run_program(p, inputs).value == "1011"  # the builtin pred
+
+
+# Programs in which x, and sometimes y or z, updates itself by builtin pred,
+# suc0 and suc1, so the compiled run holds it reversed in a bytearray, and
+# reads it in each other way a word can be read.
+IN_PLACE = {
+    "eq": "while (gt0(x)) { x := pred(x); if (eq(x, y)) { z := suc1(z) } else { skip } }"
+          " return z",
+    "eq-both-in-place": "while (gt0(x)) { x := pred(x); y := suc0(pred(y)); z := eq(y, x) }"
+                        " return z",
+    "word-guard": "x := suc1(x); if (x) { y := 1 } else { skip } return y",
+    "word-guard-loop": "while (x) { x := pred(x) } return x",
+    "lengths": "while (geq(x, suc1(y))) { x := pred(x); z := gt0(x) } return z",
+    "query-data": "while (gt0(x)) { x := pred(x); y := phi(x | z) } return y",
+    "query-bound": "while (gt0(x)) { y := phi(z | x); x := pred(x) } return y",
+    "query-both": "x := suc1(x); y := phi(x | x); x := suc0(x) return y",
+    "custom-argument": "while (gt0(x)) { x := pred(suc1(pred(x))); y := rev(x) } return y",
+    "maxlen-keeps": "while (gt0(y)) { y := pred(y); x := maxlen(y, x); x := suc1(x) } return x",
+    "lmin-replaces": "x := lmin(x, y); x := suc0(x); y := maxlen(x, z); y := suc1(y) return y",
+    "copies": "z := x; x := pred(x); y := pred(x); y := suc1(y); z := suc0(z) return z",
+    "constant": "x := 101; x := pred(x); z := x; y := pred(x) return y",
+    "deep": "while (gt0(x)) { x := pred(x); " + "if (gt0(x)) { " * (semantics._LEVELS + 2)
+            + "z := suc1(z); y := x; w := phi(x | y)" + " } else { skip }" * (semantics._LEVELS + 2)
+            + " } return z",
+}
+IN_PLACE_INPUTS = ({"x": "1101", "y": "01", "z": "1"}, {"x": "0", "y": "011"}, {})
+IN_PLACE_REGISTRY = builtin_registry().extended(
+    OperatorSpec("rev", 1, Neutral(), lambda w: w[::-1]))
+IN_PLACE_TABLE = TableOracle((("11", "0"), ("1011", "01"), ("10", "")), ("echo-length", None))
+
+
+def held_in_place(source: str) -> set[str]:
+    """The variables whose words the compiled form of ``source`` holds in
+    place."""
+    emitter = semantics._Emitter(IN_PLACE_REGISTRY, parse(source, IN_PLACE_REGISTRY).body)
+    return {var for var, slot in emitter.slots.items() if f"v{slot}" in emitter.flipped}
+
+
+@pytest.mark.parametrize("levels", [semantics._LEVELS, 1])
+@pytest.mark.parametrize("name", IN_PLACE)
+def test_words_held_in_place_read_alike_everywhere(name, levels):
+    assert "x" in held_in_place(IN_PLACE[name])
+    outcomes = set()
+    with mock.patch.object(semantics, "_LEVELS", levels):
+        p = parse(IN_PLACE[name], IN_PLACE_REGISTRY)
+    oracles = [None]
+    if has_oracle_call(p):
+        oracles += [IN_PLACE_TABLE, PaddedOracle(IN_PLACE_TABLE)]
+    for inputs in IN_PLACE_INPUTS:
+        for oracle in oracles:
+            expect = _assert_agree(p, inputs, oracle, IN_PLACE_REGISTRY)
+            assert expect is not None, (inputs, oracle)  # ended within CAP
+            outcomes.add(expect[0] if isinstance(expect[0], type) else str)
+    # Every program ends normally on some input; a word guard also gets
+    # stuck, and a query without an oracle fails.
+    assert str in outcomes
+    if name.startswith("word-guard"):
+        assert StuckGuard in outcomes
+    if len(oracles) > 1:
+        assert OracleRequired in outcomes
+
+
+def test_a_stuck_guard_held_in_place_shows_its_word():
+    p = parse(IN_PLACE["word-guard"])
+    assert _assert_agree(p, {"x": "0"}, None) == (
+        StuckGuard, "guard evaluated to '10', expected 0 or 1")
+    p = parse(IN_PLACE["word-guard-loop"])
+    assert _assert_agree(p, {"x": "1"}, None) == (
+        StuckGuard, "guard evaluated to 'the empty word', expected 0 or 1")
+
+
+def test_the_words_held_in_place_are_the_self_updated_ones():
+    assert held_in_place(IN_PLACE["eq-both-in-place"]) == {"x", "y"}
+    assert held_in_place(IN_PLACE["query-data"]) == {"x"}
+    assert held_in_place(IN_PLACE["copies"]) == {"x", "y", "z"}
+    # Not a chain of builtins around the target itself.
+    assert held_in_place("y := pred(x); z := suc1(pred(y)); w := rev(w); v := v return v") == set()

@@ -6,19 +6,25 @@ interpreter step that count must stay level as the input grows, and a
 compound command compiled into a function of its own must cost the same
 per step however many other variables the program names.  The counter
 does not see work done in C: the copy of a whole word that `pred` or
-`suc1` makes, and the passing of arguments to a generated function.
-The second is pinned here by the generated functions' parameter counts.
+`suc1` makes on a word not held in place, and the passing of arguments
+to a generated function.  The second is pinned here by the generated
+functions' parameter counts, and the first by the time of `add` on long
+words, which must grow with its steps.  `work_counter.package_calls`
+pins the Python calls that a query and a run's input bindings make.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+
 import pytest
 
 from tierlang import semantics
-from tierlang.semantics import run_program
+from tierlang.semantics import TableOracle, run_program
 from tierlang.syntax import parse
 
-from .work_counter import trace_events
+from .work_counter import package_calls, trace_events
 
 SIZES = (256, 512, 1024, 2048)
 
@@ -66,3 +72,48 @@ def test_a_deep_nest_costs_the_same_beside_unrelated_variables():
     inner = [fn for name, fn in compiled.__globals__.items()
              if name.startswith("f") and callable(fn)]
     assert inner and all(fn.__code__.co_argcount == 4 + 2 * 2 for fn in inner)
+
+
+def test_a_query_on_a_table_miss_makes_one_call():
+    # The generated code builds and checks the query in line; only the
+    # oracle's own `answer` runs in the package, and answers a miss by
+    # its default rule in the same frame.
+    oracle = TableOracle((("0", "1"),), ("echo-length", None))
+    asking, not_asking = parse("y := phi(x | x) return y"), parse("y := x return y")
+    inputs = {"x": "11"}
+    assert run_program(asking, inputs, oracle).trace.queries == [("111", "111")]
+    run_program(not_asking, inputs, oracle)  # both compile outside the count
+    calls = package_calls(run_program, asking, inputs, oracle)
+    calls.subtract(package_calls(run_program, not_asking, inputs, oracle))
+    assert +calls == Counter({"TableOracle.answer": 1})
+
+
+def test_a_run_makes_as_many_calls_with_one_input_as_with_fifty():
+    p = parse("y := suc1(x) return y")
+    one = {"x": "1"}
+    fifty = {"x": "1", **{f"u{i}": "01" for i in range(49)}}
+    run_program(p, one)
+    assert package_calls(run_program, p, fifty) == package_calls(run_program, p, one)
+
+
+# The lengths of x at which `add` is timed, 4x apart, and the bound on the
+# ratio of their times.  Steps grow 4x; a run that copies its words at
+# every step takes about 16x as long.
+ADD_LENGTHS = (50_000, 200_000)
+ADD_TIME_RATIO = 6
+
+
+def test_add_time_follows_its_steps_on_long_words(corpus):
+    p = corpus["add"].program()
+
+    def best_of_three(n: int) -> float:
+        inputs = {"x": "1" * n}
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run_program(p, inputs)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    short, long = (best_of_three(n) for n in ADD_LENGTHS)
+    assert long / short < ADD_TIME_RATIO, (short, long)

@@ -92,6 +92,18 @@ def test_add_unary():
     assert res.trace.initial_store_size == 5
 
 
+def test_initial_store_size_counts_the_inputs_only(corpus):
+    # Each run assigns variables that are not inputs, so its store measures
+    # more after the run than before it.
+    cases = [(parse("y := suc1(x) ; z := suc0(y) return z"), {"x": "11"}, 2 + 3 + 4),
+             (corpus["three_tiers"].program(), {"x": "111"}, 12)]
+    for p, inputs, after in cases:
+        res = run_program(p, inputs)
+        assert res.store.size() == after
+        assert res.trace.initial_store_size == len(inputs["x"])
+        assert res.trace.m == len(inputs["x"])
+
+
 def test_add_step_count_is_affine():
     # one guard re-check when x is empty, plus a constant tail
     for n in range(6):

@@ -408,8 +408,9 @@ def test_deep_derivations_compare_and_hash_without_recursion():
 
 
 def test_built_derivation_nodes_are_ordinary_frozen_nodes():
-    # The builders fill slots directly; what they make must be the node the
-    # constructor makes, frozen, with every field set.
+    # Every caller, builders included, fills the slots through the
+    # constructor's slot setters; what the builders make must be the node
+    # a direct call makes, frozen, with every field set.
     d = infer(ADD).derivation
     for node in d.walk():
         twin = Derivation(node.rule, node.subject, node.triple, node.children)

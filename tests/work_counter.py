@@ -10,15 +10,19 @@ recursive generator, which passes every node up through all its
 ancestors' frames, shows too.
 
 Neither kind of event sees work done in C: string and word copies (a
-builtin such as `pred` copies its whole word in one event), argument
-passing, list and dict growth, `sorted`.  A stage that turns quadratic
-only there, such as a walk that copies its stack per node with
-`stack = stack + [...]`, passes a test built on these counts.
+builtin such as `pred`, on a word not held in place, copies the word in
+one event), argument passing, list and dict growth, `sorted`.  A stage
+that turns quadratic only there, such as a walk that copies its stack per
+node with `stack = stack + [...]`, passes a test built on these counts.
+
+`package_calls` counts only the calls into the package's modules, by
+function, so a test can pin how many Python calls a step makes.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import tierlang
@@ -55,3 +59,23 @@ def trace_events(fn, *args) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+def package_calls(fn, *args) -> Counter:
+    """The calls into the package's own modules while ``fn(*args)`` runs,
+    by qualified function name.  The generated code of a program is not
+    counted, nor is anything it calls outside the package."""
+    calls: Counter = Counter()
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(_PACKAGE):
+            calls[code.co_qualname] += 1
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return calls
